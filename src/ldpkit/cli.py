@@ -26,7 +26,6 @@ from . import ldpverify, mam, pullback
 from .action import action as compute_action
 from .action import load_control, save_action_report, save_control
 from .errors import (
-    ConfigurationError,
     DivergenceError,
     InputError,
     InsufficientDataError,
@@ -43,7 +42,6 @@ from .noise import sample_noise
 COMMANDS = ("simulate", "pullback", "skeleton", "action", "mam", "qpot",
             "verify-ldp", "models")
 
-_VALIDATION_ERRORS = (InputError, ConfigurationError)
 _NUMERICAL_ERRORS = (DivergenceError, NonConvergenceError,
                      OptimizationStalledError, NonInvertibleDiffusionError,
                      InsufficientDataError)
@@ -398,22 +396,11 @@ def main(argv=None) -> int:
                   "w") as fh:
             yaml.safe_dump(echo, fh, sort_keys=False)
         return 0
-    except _NUMERICAL_ERRORS as err:
+    except (ToolkitError, yaml.YAMLError, OSError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
-        return 3
-    except _VALIDATION_ERRORS as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 2
-    except (yaml.YAMLError, OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 2
-    except ToolkitError as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 2
+        # numerical failures exit 3; validation, config and I/O errors exit 2
+        return 3 if isinstance(err, _NUMERICAL_ERRORS) else 2
 
 
 if __name__ == "__main__":

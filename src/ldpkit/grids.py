@@ -52,9 +52,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid point index of time t; t must sit on the grid."""
-        x = (t - self.t_start) / self.dt
-        i = int(round(x))
-        if i < 0 or i > self.steps or abs(x - i) > _ALIGN_RTOL * max(1.0, abs(x)):
+        i = whole_steps((t - self.t_start) / self.dt, f"time {t} is not a point of {self}")
+        if i < 0 or i > self.steps:
             raise InputError(f"time {t} is not a point of {self}")
         return i
 
@@ -80,6 +79,14 @@ def same_spacing(a: TimeGrid, b: TimeGrid) -> bool:
     return abs(a.dt - b.dt) <= _ALIGN_RTOL * max(a.dt, b.dt)
 
 
+def whole_steps(x: float, message: str) -> int:
+    """The step count x as an integer; raises InputError(message) unless it is whole."""
+    n = int(round(x))
+    if abs(x - n) > _ALIGN_RTOL * max(1.0, abs(x)):
+        raise InputError(message)
+    return n
+
+
 def step_offset(outer: TimeGrid, inner: TimeGrid) -> int:
     """Index of inner.t_start within outer, requiring equal dt and coverage.
 
@@ -90,10 +97,8 @@ def step_offset(outer: TimeGrid, inner: TimeGrid) -> int:
         raise InputError(
             f"grid spacing mismatch: dt={outer.dt} vs dt={inner.dt}"
         )
-    x = (inner.t_start - outer.t_start) / outer.dt
-    off = int(round(x))
-    if abs(x - off) > _ALIGN_RTOL * max(1.0, abs(x)):
-        raise InputError("grids are not offset by a whole number of steps")
+    off = whole_steps((inner.t_start - outer.t_start) / outer.dt,
+                      "grids are not offset by a whole number of steps")
     if off < 0 or off + inner.steps > outer.steps:
         raise InputError(
             f"window [{inner.t_start}, {inner.t_end}] not covered by "

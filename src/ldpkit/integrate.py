@@ -20,8 +20,10 @@ from .grids import TimeGrid, same_spacing, step_offset
 from .models import ModelSpec, apply_diffusion, drift, h_norm_sq
 from .noise import NoisePath
 
-# Trajectories whose H-norm passes this are declared divergent.
+# Trajectories whose H-norm passes this are declared divergent; EM
+# callers test for it once every CHECK_EVERY steps.
 BLOWUP_NORM = 1e6
+CHECK_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,47 @@ def _check_x0(model: ModelSpec, x0) -> np.ndarray:
     return x0
 
 
+def check_eps(model: ModelSpec, eps: float) -> None:
+    if eps < 0:
+        raise InputError(f"eps must be non-negative, got {eps}")
+    if eps > model.eps0:
+        raise ConfigurationError(
+            f"eps = {eps} exceeds the admissible ceiling {model.eps0} of '{model.name}'"
+        )
+
+
+def mode_drive(model: ModelSpec, eps: float, inc: np.ndarray) -> np.ndarray:
+    """Drive sqrt(eps) * sum_k dW_k c_k e_k of increments (n, steps, K), as (steps, n, dim)."""
+    out = np.empty((inc.shape[1], inc.shape[0], model.dim))
+    # the product keeps the operand shapes, which fix its rounding
+    np.matmul(np.sqrt(eps) * (inc * model.mode_weights), model.mode_matrix.T,
+              out=out.transpose(1, 0, 2))
+    return out
+
+
+def blowup_sq(model: ModelSpec, states: np.ndarray) -> np.ndarray:
+    """Squared H-norms, inf for non-finite states; past BLOWUP_NORM**2 is divergent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.nan_to_num(h_norm_sq(model, states), nan=np.inf, posinf=np.inf)
+
+
+def em_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
+               drive: np.ndarray, path=None) -> None:
+    """Step the C-contiguous state x in place: x + dt f(x, t) + b(x) drive, once per time.
+
+    x is (blocks * n, dim), or (dim,) for n = 1; its blocks of n rows share
+    drive, (len(times), n, dim).  path[i], if given, gets the state after step i.
+    """
+    shape = (-1, drive.shape[1], 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            kick = (model.diffusion_factor(x).reshape(shape) * drive[i]).reshape(x.shape)
+            x += dt * drift(model, x, t)
+            x += kick
+            if path is not None:
+                path[i] = x
+
+
 def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
                 eps: float) -> Path:
     """Euler-Maruyama trajectory of the noisy equation on `grid`.
@@ -94,42 +137,26 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
     The noise record must cover the grid with the same spacing; its
     increments are consumed mode-wise through the model's diffusion.
     """
-    x = _check_x0(model, x0)
+    x = _check_x0(model, x0).copy()  # stepped in place
     if eps < 0:
         raise InputError(f"eps must be non-negative, got {eps}")
     if noise.modes != model.modes:
         raise InputError(
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
-    inc = noise.restrict(_steps_window(noise, grid)).increments
-    dt = grid.dt
-    # premultiplied mode drive: sqrt(eps) * sum_k dW_k c_k e_k per step
-    drive = np.sqrt(eps) * (inc * model.mode_weights) @ model.mode_matrix.T
+    drive = mode_drive(model, eps, noise.restrict(grid).increments[None])
     times = grid.times()
     out = np.empty((grid.steps + 1, model.dim))
     out[0] = x
-    limit = BLOWUP_NORM**2
-    for i in range(grid.steps):
-        x = x + dt * drift(model, x, times[i]) + model.diffusion_factor(x) * drive[i]
-        if not np.all(np.isfinite(x)) or h_norm_sq(model, x) > limit:
-            raise DivergenceError(
-                f"trajectory of '{model.name}' diverged at step {i + 1} "
-                f"(t = {times[i + 1]:.6g})",
-                step=i + 1,
-                time=float(times[i + 1]),
-            )
-        out[i + 1] = x
+    for i in range(0, grid.steps, CHECK_EVERY):
+        j = min(i + CHECK_EVERY, grid.steps)
+        em_advance(model, x, times[i:j], grid.dt, drive[i:j], out[i + 1 : j + 1])
+        bad = np.flatnonzero(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
+        if bad.size:
+            step = i + 1 + int(bad[0])
+            raise DivergenceError(f"trajectory of '{model.name}' diverged at step {step} "
+                                  f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
     return Path(grid, out)
-
-
-def _steps_window(noise: NoisePath, grid: TimeGrid) -> TimeGrid:
-    """The step window of `grid` inside the noise record (same object when aligned)."""
-    if not same_spacing(noise.grid, grid):
-        raise InputError(
-            f"noise dt {noise.grid.dt} does not match trajectory dt {grid.dt}"
-        )
-    step_offset(noise.grid, grid)  # raises when not covered
-    return grid
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:

@@ -23,13 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .models import ModelSpec, drift, h_norm, h_norm_sq
+from .integrate import BLOWUP_NORM, CHECK_EVERY, blowup_sq, check_eps, em_advance, mode_drive
+from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_block
-from .pullback import _check_eps
 
 _Z95 = 1.959963984540054
-_BLOWUP_SQ = 1e12
-_CHECK_EVERY = 256
+_WINDOW = 1024  # steps of increments generated at once per chunk
 
 
 @dataclass(frozen=True)
@@ -159,48 +158,40 @@ def make_estimate(eps: float, event: str, n_samples: int, hits: int) -> MCEstima
                       low_statistics=hits == 0)
 
 
-def _default_sample_horizons(model: ModelSpec) -> list[float]:
-    r = model.relax_rate
-    return [10.0 / r, 20.0 / r]
+def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
+                   dt: float) -> np.ndarray:
+    """Time-0 states of one chunk, shape (horizons, n, dim), longest first.
 
-
-def _batched_pullback_states(model: ModelSpec, eps: float, seeds, steps_list,
-                             dt: float, window: int = 2048) -> list[np.ndarray]:
-    """Time-0 states of one chunk, one run per horizon, sharing increments.
-
-    All runs advance through one absolute-step loop, each joining at its
-    own start time, so every horizon sees the same realization per seed.
-    Increments are generated in windows to keep memory flat in the
-    horizon length.
+    The horizons are blocks of rows of one state that share each step's
+    drive, so all see the same realization per seed; a block holds the
+    rest state until its start step.  Increments come in windows.
     """
     n = len(seeds)
-    big = steps_list[-1]
-    scale = math.sqrt(eps)
-    rest = np.broadcast_to(model.pullback_init, (n, model.dim)).astype(np.float64)
-    x = [None] * len(steps_list)
-    for w0 in range(-big, 0, window):
-        w1 = min(w0 + window, 0)
-        inc = gaussian_block(seeds, w0, w1 - w0, model.modes, dt)
-        drive = scale * (inc * model.mode_weights) @ model.mode_matrix.T
-        for j in range(w0, w1):
-            t = j * dt
-            for k, steps in enumerate(steps_list):
-                if j == -steps:
-                    x[k] = rest.copy()
-                if j >= -steps:
-                    d = drift(model, x[k], t)
-                    b = np.atleast_1d(model.diffusion_factor(x[k]))
-                    x[k] = x[k] + dt * d + b[:, None] * drive[:, j - w0, :]
-            if j % _CHECK_EVERY == 0 or j == -1:
-                sq = h_norm_sq(model, x[-1])
-                if not np.all(np.isfinite(sq)) or np.max(sq) > _BLOWUP_SQ:
-                    bad = int(np.argmax(np.where(np.isfinite(sq), sq, np.inf)))
-                    raise DivergenceError(
-                        f"sample with derived seed {seeds[bad]} diverged at "
-                        f"t = {t:.6g}; smaller dt or eps needed",
-                        step=j + big, time=t,
-                    )
-    return x
+    if n == 1:  # one-row matrix products round differently (gemv): pad to two rows
+        return _pullback_rows(model, eps, np.repeat(seeds, 2), steps_list, dt)[:, :1]
+    starts = sorted(-steps for steps in steps_list)
+    x = np.full((len(starts) * n, model.dim), model.pullback_init)
+    for w0 in range(starts[0], 0, _WINDOW):
+        w1 = min(w0 + _WINDOW, 0)
+        drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt))
+        # segments end where a block joins and after each step j with
+        # j % CHECK_EVERY == 0, where the longest horizon is checked
+        checks = range(w0 + (-w0) % CHECK_EVERY + 1, w1 + 1, CHECK_EVERY)
+        cuts = sorted({w0, w1, *checks, *(s for s in starts if w0 < s < w1)})
+        for j0, j1 in zip(cuts, cuts[1:]):
+            rows = n * sum(s <= j0 for s in starts)
+            em_advance(model, x[:rows], np.arange(j0, j1) * dt, dt,
+                       drive[j0 - w0 : j1 - w0])
+            if j1 in checks or j1 == 0:
+                sq = blowup_sq(model, x[:n])
+                if np.max(sq) > BLOWUP_NORM**2:
+                    bad = int(np.argmax(sq))
+                    t = (j1 - 1) * dt
+                    raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
+                                          f"t = {t:.6g}; smaller dt or eps needed",
+                                          step=j1 - 1 - starts[0], time=t)
+        del drive  # release it before the next window's noise is drawn
+    return x.reshape(len(starts), n, model.dim)
 
 
 def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
@@ -212,7 +203,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     rest-state start times; the H-gap between the two runs at time 0
     must fall below `tol` or the offending seed is reported.
     """
-    _check_eps(model, eps)
+    check_eps(model, eps)
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     if dt is None:
@@ -225,7 +216,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
             f"of '{model.name}'"
         )
     if horizons is None:
-        horizons = _default_sample_horizons(model)
+        horizons = [10.0 / model.relax_rate, 20.0 / model.relax_rate]
     horizons = [float(h) for h in horizons]
     if len(horizons) < 2 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InputError(f"horizons must be at least two, increasing, got {horizons}")
@@ -234,15 +225,13 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
         raise InputError(f"horizons {horizons} collapse onto the same step counts at dt={dt}")
 
     seeds = derive_seeds_from(seed, 0, n_samples)
-    window = 2048
-    per_sample = min(window, steps_list[-1]) * max(model.modes, model.dim)
+    per_sample = min(_WINDOW, steps_list[-1]) * max(model.modes, model.dim)
     chunk = max(1, min(n_samples, chunk_target // per_sample))
     samples = np.empty((n_samples, model.dim))
     for start in range(0, n_samples, chunk):
         sl = slice(start, min(start + chunk, n_samples))
-        states = _batched_pullback_states(model, eps, seeds[sl], steps_list, dt,
-                                          window=window)
-        gap = h_norm(model, states[-1] - states[-2])
+        states = _pullback_rows(model, eps, seeds[sl], steps_list, dt)
+        gap = h_norm(model, states[0] - states[1])
         if np.any(gap >= tol):
             bad = int(np.argmax(gap))
             raise NonConvergenceError(
@@ -252,7 +241,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
                 gaps=[float(gap[bad])],
                 seed=int(seeds[sl][bad]),
             )
-        samples[sl] = states[-1]
+        samples[sl] = states[0]
     return samples
 
 

@@ -35,7 +35,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .grids import TimeGrid  # noqa: F401  (re-exported at package root alongside models)
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,10 @@ def _check_state(model: ModelSpec, u: np.ndarray) -> np.ndarray:
 
 
 def drift(model: ModelSpec, u: np.ndarray, t) -> np.ndarray:
-    """Full drift A u + F(u) + g(t)."""
+    """Full drift A u + F(u) + g(t); g is not evaluated for autonomous models."""
     u = _check_state(model, u)
-    return model.linear(u) + model.nonlinear(u) + model.forcing(t)
+    f = model.linear(u) + model.nonlinear(u)
+    return f if model.autonomous else f + model.forcing(t)
 
 
 def apply_diffusion(model: ModelSpec, u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InputError
-from .grids import TimeGrid, step_offset
+from .grids import TimeGrid, step_offset, whole_steps
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -30,6 +30,7 @@ _SALT_STREAM = np.uint64(0x243F6A8885A308D3)
 _SALT_DERIVE = np.uint64(0x452821E638D01377)
 
 _U64_MAX = (1 << 64) - 1
+_TILE_WORDS = 1 << 14
 
 
 def _as_u64(seed: int) -> np.uint64:
@@ -41,13 +42,13 @@ def _as_u64(seed: int) -> np.uint64:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    # Stafford variant-13 finalizer; operates in place on a copy.
-    x = np.array(x, dtype=np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    # Stafford variant-13 finalizer, in place on a fresh uint64 array.
+    tmp = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= _MIX_A
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
     x *= _MIX_B
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 
@@ -97,11 +98,18 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) ->
     states = _stream_states(seeds)
     z = _zigzag(first_step + np.arange(steps, dtype=np.int64))
     words = z[:, None] * np.uint64(modes) + np.arange(modes, dtype=np.uint64)[None, :]
-    x = states[:, None, None] + (words[None, :, :] + np.uint64(1)) * _GOLDEN
-    x = _mix64(x)
-    # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
-    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * np.sqrt(dt)
+    offsets = (words + np.uint64(1)) * _GOLDEN
+    out = np.empty((len(states), steps, modes))
+    # a few seeds at a time, so that the passes below run in cache
+    rows = max(1, _TILE_WORDS // max(1, offsets.size))
+    for r in range(0, len(states), rows):
+        x = _mix64(states[r : r + rows, None, None] + offsets)
+        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
+        u = np.add(x >> np.uint64(11), 0.5, out=out[r : r + rows])
+        u *= 2.0**-53
+        ndtri(u, out=u)
+        u *= np.sqrt(dt)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,8 @@ def sample_noise(grid: TimeGrid, modes: int, seed: int) -> NoisePath:
     pure function of (seed, absolute step, mode).
     """
     dt = grid.dt
-    base = int(round(grid.t_start / dt))
+    base = whole_steps(grid.t_start / dt, f"window start {grid.t_start} is not on the "
+                       f"dt = {dt} step lattice anchored at t = 0")
     block = gaussian_block([seed], base, grid.steps, modes, dt)
     return NoisePath(grid, block[0], seed)
 
@@ -167,10 +176,7 @@ def shift_noise(noise: NoisePath, s: float) -> NoisePath:
     that the shifted window stays inside the sampled one.
     """
     dt = noise.grid.dt
-    m_raw = s / dt
-    m = int(round(m_raw))
-    if abs(m_raw - m) > 1e-9 * max(1.0, abs(m_raw)):
-        raise InputError(f"shift {s} is not a multiple of dt={dt}")
+    m = whole_steps(s / dt, f"shift {s} is not a multiple of dt={dt}")
     if m == 0:
         return NoisePath(noise.grid, noise.increments, noise.seed)
     if m < 0:

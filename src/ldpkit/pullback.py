@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, NonConvergenceError
+from .errors import InputError, NonConvergenceError
 from .grids import TimeGrid
-from .integrate import Path, em_step_sde, integrate_skeleton
+from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
 
@@ -121,6 +121,12 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
     return last, diag
 
 
+def _em_rungs(model: ModelSpec, noise, eps: float) -> Callable[[TimeGrid], Path]:
+    """Rung integrator: EM from the rest state over `noise` on a ladder grid."""
+    return lambda grid: em_step_sde(model, model.pullback_init, grid,
+                                    noise.restrict(grid), eps)
+
+
 def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
                         horizons=None, tol: float = 1e-4):
     """Stationary-solution sample on `view` for one noise realization.
@@ -128,17 +134,12 @@ def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
     Returns (path, diagnostics).  Raises NonConvergenceError when the
     ladder's gaps stop decreasing while still above tolerance.
     """
-    _check_eps(model, eps)
+    check_eps(model, eps)
     if horizons is None:
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
     noise = sample_noise(grids[-1], model.modes, seed)
-
-    def integrate(grid: TimeGrid) -> Path:
-        return em_step_sde(model, model.pullback_init, grid,
-                           noise.restrict(grid), eps)
-
-    return _run_ladder(model, view, grids, integrate, tol, seed=seed)
+    return _run_ladder(model, view, grids, _em_rungs(model, noise, eps), tol, seed=seed)
 
 
 def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
@@ -163,7 +164,7 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
     Compares X(t + s) under realization w against X(t) under the shifted
     realization, over `view`, with one matched horizon ladder.
     """
-    _check_eps(model, eps)
+    check_eps(model, eps)
     if view is None:
         dt = model.default_dt
         view = TimeGrid(-2.0, 2.0, int(round(4.0 / dt)))
@@ -178,24 +179,9 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
     grids_base = _ladder_grids(view, horizons)
     noise = sample_noise(grids_late[-1], model.modes, seed)
     noise_shifted = shift_noise(noise, s)
-
-    def integrate_late(grid: TimeGrid) -> Path:
-        return em_step_sde(model, model.pullback_init, grid,
-                           noise.restrict(grid), eps)
-
-    def integrate_base(grid: TimeGrid) -> Path:
-        return em_step_sde(model, model.pullback_init, grid,
-                           noise_shifted.restrict(grid), eps)
-
-    late, _ = _run_ladder(model, shifted_view, grids_late, integrate_late, tol, seed)
-    base, _ = _run_ladder(model, view, grids_base, integrate_base, tol, seed)
+    late, _ = _run_ladder(model, shifted_view, grids_late,
+                          _em_rungs(model, noise, eps), tol, seed)
+    base, _ = _run_ladder(model, view, grids_base,
+                          _em_rungs(model, noise_shifted, eps), tol, seed)
     return float(np.max(h_norm(model, late.states - base.states)))
 
-
-def _check_eps(model: ModelSpec, eps: float) -> None:
-    if eps < 0:
-        raise InputError(f"eps must be non-negative, got {eps}")
-    if eps > model.eps0:
-        raise ConfigurationError(
-            f"eps = {eps} exceeds the admissible ceiling {model.eps0} of '{model.name}'"
-        )

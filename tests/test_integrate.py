@@ -8,13 +8,16 @@ from ldpkit import (
     InputError,
     Path,
     TimeGrid,
+    drift,
     em_step_sde,
     from_dt,
+    h_norm_sq,
     integrate_skeleton,
     load_path,
     sample_noise,
     save_path,
 )
+from ldpkit.integrate import BLOWUP_NORM
 
 
 def test_path_validation_and_lookup():
@@ -124,14 +127,35 @@ def test_stability_ceiling_enforced(burgers):
         integrate_skeleton(burgers, np.zeros(64), g)
 
 
-def test_divergence_reported(burgers):
+def _first_blowup_step(model, x, grid, noise, eps):
+    """Replay EM one 1-D step at a time; the first step past BLOWUP_NORM."""
+    drive = np.sqrt(eps) * (noise.increments * model.mode_weights) @ model.mode_matrix.T
+    times = grid.times()
+    for i in range(grid.steps):
+        x = x + grid.dt * drift(model, x, times[i]) + model.diffusion_factor(x) * drive[i]
+        if not np.all(np.isfinite(x)) or h_norm_sq(model, x) > BLOWUP_NORM**2:
+            return i + 1
+    return None
+
+
+def test_divergence_reported(burgers, ou):
     g = TimeGrid(0.0, 0.01, 200)  # dt = 5e-5 < h^2/2
     huge = 1e7 * np.ones(64)
     noise = sample_noise(g, 16, seed=0)
     with pytest.raises(DivergenceError) as exc:
         em_step_sde(burgers, huge, g, noise, eps=0.0)
-    assert exc.value.step is not None
-    assert exc.value.time is not None
+    assert exc.value.step == _first_blowup_step(burgers, huge, g, noise, 0.0) == 1
+    assert exc.value.time == g.times()[1]
+    # at dt = 2.05 an ou step maps x to -1.05 x + noise: the blow-up comes
+    # after the first 256-step block of checks
+    g = TimeGrid(0.0, 2.05 * 600, 600)
+    noise = sample_noise(g, 1, seed=2)
+    with pytest.raises(DivergenceError) as exc:
+        em_step_sde(ou, np.array([1.0]), g, noise, 0.1)
+    step = _first_blowup_step(ou, np.array([1.0]), g, noise, 0.1)
+    assert 256 < step < 512
+    assert exc.value.step == step
+    assert exc.value.time == g.times()[step]
 
 
 def test_save_load_roundtrip(tmp_path, lin_a2):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erfc
 
 from ldpkit import (
+    DivergenceError,
     Event,
     InputError,
     InsufficientDataError,
@@ -17,7 +18,7 @@ from ldpkit import (
     save_estimates,
     wilson_interval,
 )
-from ldpkit.ldpverify import _Z95
+from ldpkit.ldpverify import _WINDOW, _Z95
 
 
 def test_wilson_interval_values():
@@ -100,11 +101,23 @@ def test_sampling_is_deterministic_and_seed_sensitive(ou):
     assert a.shape == (64, 1)
 
 
-def test_sampling_chunking_invariance(ou):
+def test_sampling_chunking_invariance(ou, all_models):
     # chunk boundaries must not change the stream
     a = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01)
     b = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01, chunk_target=2_000)
     assert np.array_equal(a, b)
+    # every model, over two noise windows with a horizon joining inside the
+    # first: 5 samples in chunks of 2, 2 and 1 against one chunk of 5.  On
+    # linear2d-a2 a one-row state would take the gemv path of the matrix
+    # product, whose rounding differs from the batched (gemm) rows.
+    for model in all_models:
+        dt = model.max_stable_dt or 10 * model.default_dt
+        kw = dict(dt=dt, horizons=[600 * dt, 1300 * dt], tol=1.0)
+        one = sample_stationary(model, model.default_eps, 5, seed=8, **kw)
+        pair = 2 * _WINDOW * max(model.modes, model.dim)  # two samples per chunk
+        chunked = sample_stationary(model, model.default_eps, 5, seed=8,
+                                    chunk_target=pair, **kw)
+        assert np.array_equal(one, chunked), model.name
 
 
 def test_zero_noise_samples_rest_state(ou):
@@ -132,6 +145,16 @@ def test_sampling_validation(ou, burgers):
         sample_stationary(ou, 0.1, 4, seed=0, horizons=[5.0])
     with pytest.raises(InputError):
         sample_stationary(ou, 0.1, 4, seed=0, horizons=[5.0, 5.0])
+
+
+def test_sampling_reports_divergence(ou):
+    # at dt = 2.5 an EM step maps x to -1.5 x + noise; horizons of 40 and 80
+    # steps are checked only after the last step (j = -1), 79 steps after
+    # the longest horizon's first
+    with pytest.raises(DivergenceError) as exc:
+        sample_stationary(ou, 0.1, 4, seed=0, dt=2.5, horizons=[100, 200])
+    assert exc.value.step == 79
+    assert exc.value.time == -2.5
 
 
 def test_sampling_reports_non_convergence(ou):

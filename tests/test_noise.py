@@ -138,6 +138,15 @@ def test_derived_seeds_are_distinct():
     assert derive_seed(0, 0) != derive_seed(1, 0)
 
 
+def test_sample_noise_rejects_off_lattice_windows():
+    # snapping the start to the t = 0 anchored lattice would hand out the
+    # increments of [0, 1] for this window
+    with pytest.raises(InputError):
+        sample_noise(TimeGrid(0.00049, 1.00049, 1000), 2, seed=1)
+    on = sample_noise(TimeGrid(-0.5, 0.5, 1000), 2, seed=1)
+    assert on.increments.shape == (1000, 2)
+
+
 def test_gaussian_block_shape_and_anchoring():
     block = gaussian_block([1, 2, 3], -50, 20, 4, 0.01)
     assert block.shape == (3, 20, 4)
