@@ -14,7 +14,6 @@ from .action import (
     action_gradient,
     control_from_path,
     load_control,
-    save_action_report,
     save_control,
     value_and_gradient,
 )
@@ -29,7 +28,8 @@ from .errors import (
     ToolkitError,
 )
 from .grids import TimeGrid, from_dt
-from .integrate import Path, em_step_sde, integrate_skeleton, load_path, save_path
+from .integrate import (Path, em_step_sde, integrate_skeleton, load_path, save_path,
+                        write_json)
 from .ldpverify import (
     Event,
     MCEstimate,
@@ -39,10 +39,9 @@ from .ldpverify import (
     make_estimate,
     sample_stationary,
     save_estimates,
-    save_slope_fit,
     wilson_interval,
 )
-from .mam import QPResult, minimize_action, quasipotential, save_qp_result
+from .mam import QPResult, minimize_action, quasipotential
 from .models import (
     HypothesisConstants,
     HypothesisReport,
@@ -69,7 +68,6 @@ from .pullback import (
     default_horizons,
     pullback_skeleton,
     pullback_stationary,
-    save_diagnostics,
     stationarity_check,
 )
 
@@ -125,16 +123,13 @@ __all__ = [
     "quasipotential",
     "sample_noise",
     "sample_stationary",
-    "save_action_report",
     "save_control",
-    "save_diagnostics",
     "save_estimates",
     "save_noise",
     "save_path",
-    "save_qp_result",
-    "save_slope_fit",
     "shift_noise",
     "stationarity_check",
     "value_and_gradient",
     "wilson_interval",
+    "write_json",
 ]

@@ -13,13 +13,12 @@ span cannot be produced by any control and are reported as a defect
 rather than silently dropped.
 
 action_gradient differentiates this discrete functional exactly (the
-midpoint states enter both the residual and the diffusion factor), which
-is what the minimum-action module descends.
+midpoint states enter both the residual and the diffusion factor), and
+control_jacobian gives the per-step blocks of its Gauss-Newton matrix.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,12 +85,6 @@ class ActionReport:
             "defect": self.defect,
             "per_step": [float(x) for x in self.per_step],
         }
-
-
-def save_action_report(report: ActionReport, filename) -> None:
-    with open(filename, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def _check_path(model: ModelSpec, path: Path) -> None:
@@ -179,8 +172,7 @@ def action_gradient(model: ModelSpec, path: Path,
     Shape (steps+1, dim); rows for pinned endpoints are zeroed according
     to fixed_endpoints.
     """
-    coeffs, _, mids, tmid, b = _invert(model, path)
-    return _assemble_gradient(model, path, coeffs, mids, tmid, b, fixed_endpoints)
+    return value_and_gradient(model, path, fixed_endpoints)[1]
 
 
 def value_and_gradient(model: ModelSpec, path: Path,
@@ -190,6 +182,26 @@ def value_and_gradient(model: ModelSpec, path: Path,
     value = float(0.5 * path.grid.dt * np.sum(coeffs**2))
     grad = _assemble_gradient(model, path, coeffs, mids, tmid, b, fixed_endpoints)
     return value, grad
+
+
+def control_jacobian(model: ModelSpec, path: Path):
+    """Per-step controls v_i, shape (steps, K), and their exact Jacobians.
+
+    Returns (coeffs, dv_i/du_i, dv_i/du_{i+1}), the Jacobians of shape
+    (steps, K, dim).  v_i depends on u_i and u_{i+1} only, so
+    dt * sum_i J_i^T v_i is the action gradient and dt * sum_i J_i^T J_i
+    its block-tridiagonal Gauss-Newton matrix.
+    """
+    coeffs, _, mids, tmid, b = _invert(model, path)
+    scale = (model.mass / b)[:, None, None] / model.mode_weights[:, None]
+    # rows e_k^T Df(m_i) from one batched transposed-Jacobian call
+    dfe = np.broadcast_to(
+        model.drift_jacT(mids[:, None, :], tmid[:, None, None], model.mode_matrix.T),
+        scale.shape[:2] + (model.dim,))
+    gb = model.grad_diffusion_factor(mids) / b[:, None]
+    common = -0.5 * (scale * dfe + coeffs[:, :, None] * gb[:, None, :])
+    jump = scale * model.mode_matrix.T / path.grid.dt
+    return coeffs, common - jump, common + jump
 
 
 def save_control(control: Control, filename) -> None:

@@ -24,7 +24,7 @@ import yaml
 
 from . import ldpverify, mam, pullback
 from .action import action as compute_action
-from .action import load_control, save_action_report, save_control
+from .action import load_control, save_control
 from .errors import (
     DivergenceError,
     InputError,
@@ -35,7 +35,7 @@ from .errors import (
     ToolkitError,
 )
 from .grids import TimeGrid, from_dt
-from .integrate import em_step_sde, integrate_skeleton, load_path, save_path
+from .integrate import em_step_sde, integrate_skeleton, load_path, save_path, write_json
 from .models import make_model, model_names
 from .noise import sample_noise
 
@@ -113,11 +113,11 @@ def _parse_model(block, context: str = "model"):
     return make_model(name, params)
 
 
-def _parse_horizons(value, context: str):
+def _positive_list(value, context: str, minimum: int = 2):
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)) or len(value) < 2:
-        raise InputError(f"{context}: expected a list of at least two horizons")
+    if not isinstance(value, (list, tuple)) or len(value) < minimum:
+        raise InputError(f"{context}: expected a list of {minimum} or more positive numbers")
     return [_as_number(v, context, positive=True) for v in value]
 
 
@@ -201,14 +201,14 @@ def _run_pullback(config, seed_override, out_dir):
     eps = _as_number(_need(config, "eps", "pullback"), "pullback.eps", nonnegative=True)
     view = _parse_grid(_need(config, "view", "pullback"), "pullback.view")
     seed = _seed_from(config, seed_override, "pullback")
-    horizons = _parse_horizons(config.get("horizons"), "pullback.horizons")
+    horizons = _positive_list(config.get("horizons"), "pullback.horizons")
     tol = _as_number(config.get("tol", 1e-4), "pullback.tol", positive=True)
     names = _outputs(config, "pullback", {"path": "pullback_path.csv",
                                           "diagnostics": "pullback_diagnostics.json"})
     path, diag = pullback.pullback_stationary(model, eps, seed, view,
                                               horizons=horizons, tol=tol)
     save_path(path, os.path.join(out_dir, names["path"]))
-    pullback.save_diagnostics(diag, os.path.join(out_dir, names["diagnostics"]))
+    write_json(diag.to_dict(), os.path.join(out_dir, names["diagnostics"]))
     _require_converged(diag, tol)
     return seed
 
@@ -227,11 +227,11 @@ def _run_skeleton(config, seed_override, out_dir):
         if config.get("grid") is not None or config.get("x0") is not None:
             raise InputError("skeleton: give either view (pullback) or grid+x0, not both")
         view = _parse_grid(config["view"], "skeleton.view")
-        horizons = _parse_horizons(config.get("horizons"), "skeleton.horizons")
+        horizons = _positive_list(config.get("horizons"), "skeleton.horizons")
         tol = _as_number(config.get("tol", 1e-4), "skeleton.tol", positive=True)
         path, diag = pullback.pullback_skeleton(model, control, view,
                                                 horizons=horizons, tol=tol)
-        pullback.save_diagnostics(diag, os.path.join(out_dir, names["diagnostics"]))
+        write_json(diag.to_dict(), os.path.join(out_dir, names["diagnostics"]))
         save_path(path, os.path.join(out_dir, names["path"]))
         _require_converged(diag, tol)
         return None
@@ -253,7 +253,7 @@ def _run_action(config, seed_override, out_dir):
     names = _outputs(config, "action", {"report": "action_report.json",
                                         "control": "action_control.csv"})
     report = compute_action(model, path)
-    save_action_report(report, os.path.join(out_dir, names["report"]))
+    write_json(report.to_dict(), os.path.join(out_dir, names["report"]))
     save_control(report.control, os.path.join(out_dir, names["control"]))
     return None
 
@@ -270,20 +270,15 @@ def _run_mam(config, seed_override, out_dir):
                                      "report": "mam_report.json"})
     path, value = mam.minimize_action(model, target, T, steps, init=init)
     save_path(path, os.path.join(out_dir, names["path"]))
-    with open(os.path.join(out_dir, names["report"]), "w") as fh:
-        json.dump({"value": value, "T": T, "steps": steps}, fh, indent=2)
-        fh.write("\n")
+    write_json({"value": value, "T": T, "steps": steps},
+               os.path.join(out_dir, names["report"]))
     return None
 
 
 def _run_qpot(config, seed_override, out_dir):
     model = _parse_model(_need(config, "model", "qpot"))
     target = _as_state_list(_need(config, "target", "qpot"), "qpot.target")
-    schedule = config.get("T_schedule")
-    if schedule is not None:
-        if not isinstance(schedule, (list, tuple)) or not schedule:
-            raise InputError("qpot.T_schedule: expected a non-empty list")
-        schedule = [_as_number(v, "qpot.T_schedule", positive=True) for v in schedule]
+    schedule = _positive_list(config.get("T_schedule"), "qpot.T_schedule", minimum=1)
     spu = _as_number(config.get("steps_per_unit", 50), "qpot.steps_per_unit",
                      positive=True)
     tol = _as_number(config.get("tol", 1e-3), "qpot.tol", positive=True)
@@ -291,7 +286,7 @@ def _run_qpot(config, seed_override, out_dir):
                                       "path": "qpot_path.csv"})
     result = mam.quasipotential(model, target, T_schedule=schedule,
                                 steps_per_unit=spu, tol=tol)
-    mam.save_qp_result(result, os.path.join(out_dir, names["result"]))
+    write_json(result.to_dict(), os.path.join(out_dir, names["result"]))
     save_path(result.path, os.path.join(out_dir, names["path"]))
     return None
 
@@ -300,17 +295,13 @@ def _run_verify_ldp(config, seed_override, out_dir):
     model = _parse_model(_need(config, "model", "verify-ldp"))
     event = _parse_event(_need(config, "event", "verify-ldp"))
     seed = _seed_from(config, seed_override, "verify-ldp")
-    eps_list = config.get("eps_list")
-    if eps_list is not None:
-        if not isinstance(eps_list, (list, tuple)) or not eps_list:
-            raise InputError("verify-ldp.eps_list: expected a non-empty list")
-        eps_list = [_as_number(v, "verify-ldp.eps_list", positive=True) for v in eps_list]
+    eps_list = _positive_list(config.get("eps_list"), "verify-ldp.eps_list", minimum=1)
     n_samples = _as_int(_need(config, "n_samples", "verify-ldp"),
                         "verify-ldp.n_samples", minimum=1)
     dt = config.get("dt")
     if dt is not None:
         dt = _as_number(dt, "verify-ldp.dt", positive=True)
-    horizons = _parse_horizons(config.get("horizons"), "verify-ldp.horizons")
+    horizons = _positive_list(config.get("horizons"), "verify-ldp.horizons")
     tol = _as_number(config.get("tol", 1e-3), "verify-ldp.tol", positive=True)
     names = _outputs(config, "verify-ldp", {"estimates": "ldp_estimates.csv",
                                             "fit": "ldp_fit.json"})
@@ -321,7 +312,7 @@ def _run_verify_ldp(config, seed_override, out_dir):
     if config.get("reference") is not None:
         reference = _as_number(config["reference"], "verify-ldp.reference")
         fit = ldpverify.ldp_slope(estimates, reference)
-        ldpverify.save_slope_fit(fit, os.path.join(out_dir, names["fit"]))
+        write_json(fit.to_dict(), os.path.join(out_dir, names["fit"]))
     return seed
 
 

@@ -11,6 +11,7 @@ the action discretization (midpoint inversion) is consistent with.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,13 @@ def save_path(path: Path, filename) -> None:
     np.savetxt(filename, table, delimiter=",", fmt="%.17g", header=header, comments="")
 
 
+def write_json(record: dict, filename) -> None:
+    """A result record, such as a report's to_dict(), as indented JSON."""
+    with open(filename, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
 def load_path(filename) -> Path:
     table = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
     if table.shape[1] < 2:
@@ -95,6 +103,16 @@ def check_eps(model: ModelSpec, eps: float) -> None:
     if eps > model.eps0:
         raise ConfigurationError(
             f"eps = {eps} exceeds the admissible ceiling {model.eps0} of '{model.name}'"
+        )
+
+
+def check_dt(model: ModelSpec, dt: float) -> None:
+    if dt <= 0:
+        raise InputError(f"dt must be positive, got {dt}")
+    if model.max_stable_dt is not None and dt > model.max_stable_dt:
+        raise ConfigurationError(
+            f"dt = {dt:.3e} exceeds the explicit stability ceiling "
+            f"{model.max_stable_dt:.3e} of '{model.name}'"
         )
 
 
@@ -138,6 +156,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
     increments are consumed mode-wise through the model's diffusion.
     """
     x = _check_x0(model, x0).copy()  # stepped in place
+    check_dt(model, grid.dt)
     if eps < 0:
         raise InputError(f"eps must be non-negative, got {eps}")
     if noise.modes != model.modes:
@@ -198,11 +217,7 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
 def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Path:
     """Heun (explicit trapezoidal) trajectory of the controlled equation."""
     x = _check_x0(model, x0)
-    if model.max_stable_dt is not None and grid.dt > model.max_stable_dt:
-        raise ConfigurationError(
-            f"dt = {grid.dt:.3e} exceeds the explicit stability ceiling "
-            f"{model.max_stable_dt:.3e} of '{model.name}'"
-        )
+    check_dt(model, grid.dt)
     table = _control_table(model, grid, control)
     dt = grid.dt
     times = grid.times()

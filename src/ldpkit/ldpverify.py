@@ -15,7 +15,6 @@ rarest probability within reach of the sample count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .integrate import BLOWUP_NORM, CHECK_EVERY, blowup_sq, check_eps, em_advance, mode_drive
+from .integrate import (BLOWUP_NORM, CHECK_EVERY, blowup_sq, check_dt, check_eps,
+                        em_advance, mode_drive)
 from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_block
 
@@ -120,19 +120,6 @@ class MCEstimate:
                 f"hit count {self.hits} inconsistent with {self.n_samples} samples"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "event": self.event,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "lo95": self.lo95,
-            "hi95": self.hi95,
-            "log_scaled": self.log_scaled,
-            "low_statistics": self.low_statistics,
-        }
-
 
 def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     """95% score interval for a binomial proportion; valid down to 0 hits."""
@@ -208,13 +195,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
         raise InputError(f"need at least one sample, got {n_samples}")
     if dt is None:
         dt = model.default_dt
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if model.max_stable_dt is not None and dt > model.max_stable_dt:
-        raise InputError(
-            f"dt = {dt} exceeds the stable ceiling {model.max_stable_dt} "
-            f"of '{model.name}'"
-        )
+    check_dt(model, dt)
     if horizons is None:
         horizons = [10.0 / model.relax_rate, 20.0 / model.relax_rate]
     horizons = [float(h) for h in horizons]
@@ -300,12 +281,6 @@ class SlopeFit:
             "residuals": [float(r) for r in self.residuals],
             "n_points": self.n_points,
         }
-
-
-def save_slope_fit(fit: SlopeFit, filename) -> None:
-    with open(filename, "w") as fh:
-        json.dump(fit.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def ldp_slope(estimates, reference: float) -> SlopeFit:

@@ -9,27 +9,32 @@ the transition cost from rest, which is also the rate at which the
 stationary distribution's mass decays near the target as the noise
 strength goes to zero.
 
-The descent runs on the exact gradient of the discretized functional, so
-the optimizer sees a consistent objective down to round-off.
+Each control v_i depends on the two states u_i and u_{i+1} only, so the
+Gauss-Newton matrix of the discrete action is block-tridiagonal.  The
+descent is a Levenberg-Marquardt-damped Gauss-Newton iteration, one
+banded Cholesky solve per trial step, stopped on the exact gradient of
+the discretized functional.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.linalg import solveh_banded
 
-from .action import value_and_gradient
+from .action import action, control_jacobian, value_and_gradient
 from .errors import ConfigurationError, InputError, OptimizationStalledError
 from .grids import TimeGrid
 from .integrate import Path, integrate_skeleton
 from .models import ModelSpec
 
-_OPTIONS = {"maxcor": 10, "gtol": 1e-6, "ftol": 1e-14, "maxiter": 5000,
-            "maxfun": 20000}
+# a horizon is solved once every interior gradient entry is this small
+_GTOL = 1e-6
+_MAX_ITER = 100  # accepted steps per horizon
+# Levenberg-Marquardt damping, relative to the largest Gauss-Newton diagonal
+_DAMP_START, _DAMP_FLOOR, _DAMP_CEIL = 1e-6, 1e-14, 1e8
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,7 @@ class QPResult:
     converged_value: float
     converged: bool
     warning: Optional[str]
+    defect: float
     path: Path
 
     def to_dict(self) -> dict:
@@ -54,20 +60,15 @@ class QPResult:
             "converged_value": float(self.converged_value),
             "converged": self.converged,
             "warning": self.warning,
+            "defect": float(self.defect),
         }
 
 
-def save_qp_result(result: QPResult, filename) -> None:
-    with open(filename, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def _check_autonomous(model: ModelSpec) -> None:
-    if not model.autonomous:
+def _check_model(model: ModelSpec) -> None:
+    if not (model.autonomous and model.zero_equilibrium):
         raise ConfigurationError(
-            f"'{model.name}' has explicit time dependence; transition costs "
-            "from rest are defined here only for autonomous drift"
+            f"'{model.name}' is not autonomous with rest state 0; transition costs "
+            "from rest are defined here only for such models"
         )
 
 
@@ -92,11 +93,8 @@ def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,
                 f"warm-start path dimension {init.dim} does not match "
                 f"model '{model.name}'"
             )
-        old_t = init.grid.times()
-        new_t = grid.times()
-        states = np.column_stack(
-            [np.interp(new_t, old_t, init.states[:, d]) for d in range(model.dim)]
-        )
+        states = np.column_stack([np.interp(grid.times(), init.grid.times(), u)
+                                  for u in init.states.T])
     elif init == "linear":
         states = np.linspace(0.0, 1.0, steps + 1)[:, None] * target[None, :]
     elif init == "reversed-flow":
@@ -113,36 +111,64 @@ def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,
     return states
 
 
+def _gn_band(A: np.ndarray, B: np.ndarray, dt: float) -> np.ndarray:
+    """Lower band (2 dim rows) of dt * sum_i J_i^T J_i over the interior states."""
+    nb, dim = A.shape[0] - 1, A.shape[2]
+    cols = np.zeros((nb, 3 * dim, dim))  # block column p: rows p*dim .. p*dim + 3 dim
+    At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
+    cols[:, :dim] = dt * (At[1:] @ A[1:] + Bt[:-1] @ B[:-1])
+    cols[:-1, dim:2 * dim] = dt * (Bt[1:-1] @ A[1:-1])
+    d, b = np.ogrid[:2 * dim, :dim]
+    return cols[:, b + d, b].transpose(1, 0, 2).reshape(2 * dim, nb * dim)
+
+
 def _minimize(model: ModelSpec, target: np.ndarray, T: float, grid_steps: int,
               init: Union[Path, str]):
+    """Damped Gauss-Newton descent of the interior states.
+
+    Returns (path, value, iterations, met_gtol).  iterations counts
+    accepted steps; each step tries dampings upward, one banded solve apiece.
+    """
     if T <= 0:
         raise InputError(f"horizon must be positive, got {T}")
     if grid_steps < 2:
         raise InputError(f"need at least 2 steps to have interior states, got {grid_steps}")
     grid = TimeGrid(-float(T), 0.0, int(grid_steps))
-    states0 = _initial_states(model, target, grid, init)
-    steps = grid.steps
-    dim = model.dim
-
-    def objective(z):
-        states = states0.copy()
-        states[1:steps] = z.reshape(steps - 1, dim)
-        path = Path(grid, states)
-        value, grad = value_and_gradient(model, path)
-        return value, grad[1:steps].ravel()
-
-    res = _scipy_minimize(objective, states0[1:steps].ravel(), jac=True,
-                          method="L-BFGS-B", options=_OPTIONS)
-    states = states0.copy()
-    states[1:steps] = res.x.reshape(steps - 1, dim)
-    path = Path(grid, states)
-    if res.status == 2:
-        raise OptimizationStalledError(
-            f"optimizer stalled before reaching tolerance: {res.message}",
-            path=path,
-            value=float(res.fun),
-        )
-    return path, float(res.fun), int(res.nit), bool(res.status == 0)
+    path = Path(grid, _initial_states(model, target, grid, init))
+    value, grad = value_and_gradient(model, path)
+    damp = _DAMP_START
+    for it in range(_MAX_ITER):
+        g = grad[1:-1].ravel()
+        if np.max(np.abs(g)) <= _GTOL:
+            return path, value, it, True
+        _, A, B = control_jacobian(model, path)
+        band = _gn_band(A, B, grid.dt)
+        diag, scale = band[0].copy(), np.max(band[0])
+        while True:
+            band[0] = diag + damp * scale
+            try:
+                step = solveh_banded(band, -g, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                step = np.full_like(g, np.nan)
+            trial = path.states.copy()
+            trial[1:-1] += step.reshape(-1, model.dim)
+            if np.all(np.isfinite(trial)):
+                trial = Path(grid, trial)
+                trial_value, trial_grad = value_and_gradient(model, trial)
+                if trial_value < value:
+                    # Nielsen's update from actual over predicted decrease
+                    gain = (value - trial_value) / (0.5 * step @ (damp * scale * step - g))
+                    damp = max(damp * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3),
+                               _DAMP_FLOOR)
+                    path, value, grad = trial, trial_value, trial_grad
+                    break
+            damp *= 10.0
+            if damp > _DAMP_CEIL:
+                raise OptimizationStalledError(
+                    f"no damped Gauss-Newton step lowers the action below {value:.6g} "
+                    f"at horizon {T} after {it} steps",
+                    path=path, value=value)
+    return path, value, _MAX_ITER, bool(np.max(np.abs(grad[1:-1])) <= _GTOL)
 
 
 def minimize_action(model: ModelSpec, target, T: float, grid_steps: int,
@@ -150,10 +176,10 @@ def minimize_action(model: ModelSpec, target, T: float, grid_steps: int,
     """Cheapest discrete path from rest at -T to `target` at 0.
 
     Returns (path, value).  The optimizer stopping at its iteration cap
-    still returns the best path found; a failed line search raises
-    OptimizationStalledError carrying the best iterate.
+    still returns the best path found; damping past its ceiling without
+    a decrease raises OptimizationStalledError carrying the best iterate.
     """
-    _check_autonomous(model)
+    _check_model(model)
     x = _check_target(model, target)
     path, value, _, _ = _minimize(model, x, T, grid_steps, init)
     return path, value
@@ -170,12 +196,14 @@ def quasipotential(model: ModelSpec, target, T_schedule=None,
     """Transition cost from rest via horizon continuation.
 
     Minimizes at each horizon in turn, warm-starting from the previous
-    minimizer held at rest on the extension; stops early once consecutive
-    values agree within `tol`.  Values can only decrease with T, so an
-    increase beyond optimizer precision is flagged and converged is set
-    to False.
+    minimizer held at rest on the extension; stops early, converged, once
+    consecutive values agree within `tol` and the optimizer met its
+    gradient tolerance at both horizons.  Values can only decrease with T,
+    so an increase beyond optimizer precision is flagged and stops the
+    schedule unconverged.  A final path whose action defect exceeds `tol`
+    is not reachable by any control, so it is never reported converged.
     """
-    _check_autonomous(model)
+    _check_model(model)
     x = _check_target(model, target)
     if T_schedule is None:
         T_schedule = default_t_schedule(model)
@@ -189,38 +217,36 @@ def quasipotential(model: ModelSpec, target, T_schedule=None,
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
 
-    horizons = []
-    values = []
-    iterations = []
-    warning = None
+    horizons, values, iterations, solved, notes = [], [], [], [], []
     converged = False
-    path = None
-    init: Union[Path, str] = "linear"
+    path: Union[Path, str] = "linear"
     for T in T_schedule:
         grid_steps = max(2, int(round(T * steps_per_unit)))
-        path, value, nit, opt_ok = _minimize(model, x, T, grid_steps, init)
+        path, value, nit, met_gtol = _minimize(model, x, T, grid_steps, path)
         horizons.append(T)
         values.append(value)
         iterations.append(nit)
-        if not opt_ok and warning is None:
-            warning = (
-                f"optimizer hit its iteration cap at horizon {T}; "
-                "the value may not be fully polished"
-            )
+        solved.append(met_gtol)
         if len(values) >= 2:
-            slack = 1e-8 + 1e-5 * abs(values[-2])
-            if values[-1] > values[-2] + slack:
-                warning = (
+            if values[-1] > values[-2] + 1e-8 + 1e-5 * abs(values[-2]):
+                notes.append(
                     f"value increased from {values[-2]:.6g} to {values[-1]:.6g} "
                     f"between horizons {horizons[-2]} and {horizons[-1]}; "
                     "the optimizer appears trapped"
                 )
-                converged = False
                 break
-            if abs(values[-1] - values[-2]) < tol:
+            if abs(values[-1] - values[-2]) < tol and solved[-1] and solved[-2]:
                 converged = True
                 break
-        init = path
+    missed = [f"{T:.6g}" for T, ok in zip(horizons, solved) if not ok]
+    if missed:
+        notes.insert(0, f"optimizer stopped at its {_MAX_ITER}-step cap above gtol "
+                        f"{_GTOL:g} at horizon(s) {', '.join(missed)}")
+    defect = action(model, path).defect
+    if defect > tol:
+        converged = False
+        notes.append(f"final path has defect {defect:.3g} above tol {tol:g}")
     return QPResult(target=x, horizons=horizons, values=values,
                     iterations=iterations, converged_value=values[-1],
-                    converged=converged, warning=warning, path=path)
+                    converged=converged, warning="; ".join(notes) or None,
+                    defect=defect, path=path)

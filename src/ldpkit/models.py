@@ -29,7 +29,7 @@ occupies the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -491,16 +491,7 @@ class HypothesisReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_samples": self.n_samples,
-            "tol": self.tol,
-            "pair_margin": self.pair_margin,
-            "self_margin": self.self_margin,
-            "lipschitz_margin": self.lipschitz_margin,
-            "bound_margin": self.bound_margin,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_hypothesis(model: ModelSpec, n_samples: int = 200, seed: int = 0,

@@ -15,7 +15,6 @@ periodically forced scalar model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,12 +44,6 @@ class PullbackDiag:
             "fitted_rate": self.fitted_rate,
             "converged": self.converged,
         }
-
-
-def save_diagnostics(diag: PullbackDiag, filename) -> None:
-    with open(filename, "w") as fh:
-        json.dump(diag.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def default_horizons(model: ModelSpec, view: TimeGrid) -> list[float]:

@@ -13,9 +13,9 @@ from ldpkit import (
     from_dt,
     integrate_skeleton,
     load_control,
-    save_action_report,
     save_control,
     value_and_gradient,
+    write_json,
 )
 
 
@@ -105,6 +105,33 @@ def test_dimension_mismatch(lin_a2):
         action(lin_a2, Path(g, np.zeros((11, 1))))
 
 
+@pytest.mark.parametrize("name,params", [
+    ("ou", {}),
+    ("linear2d-a1", {}),
+    ("linear2d-a2", {}),
+    ("burgers1d", {}),
+    ("burgers1d", {"diffusion": "additive"}),
+])
+def test_control_jacobian_reproduces_the_gradient(name, params):
+    # dt * sum_i J_i^T v_i over the per-step blocks is the action gradient
+    from ldpkit import make_model
+    from ldpkit.action import control_jacobian
+
+    model = make_model(name, params)
+    # the minimum-action step sizes; the action has no stability ceiling
+    dt = 0.01
+    g = from_dt(0.0, 0.2, dt)
+    for seed in (12, 13, 14):
+        path = smooth_path(g, model.dim, seed=seed, scale=0.5)
+        coeffs, d_left, d_right = control_jacobian(model, path)
+        assert np.array_equal(coeffs, control_from_path(model, path).coeffs)
+        grad = np.zeros_like(path.states)
+        grad[:-1] += dt * np.einsum("ika,ik->ia", d_left, coeffs)
+        grad[1:] += dt * np.einsum("ika,ik->ia", d_right, coeffs)
+        exact = action_gradient(model, path, fixed_endpoints=(False, False))
+        assert np.max(np.abs(grad - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("name,offset", [
     ("ou", 0.0),
     ("linear2d-a2", 0.0),
@@ -192,7 +219,7 @@ def test_report_serialization(tmp_path, ou):
     g = from_dt(0.0, 0.2, 0.01)
     rep = action(ou, smooth_path(g, 1, seed=5))
     f = tmp_path / "report.json"
-    save_action_report(rep, f)
+    write_json(rep.to_dict(), f)
     import json
 
     data = json.loads(f.read_text())

@@ -252,7 +252,27 @@ def test_mam_and_qpot_commands(tmp_path, capsys):
     result = json.loads((out_dir2 / "qpot_result.json").read_text())
     assert result["converged"] is True
     assert result["converged_value"] == pytest.approx(1.0, rel=5e-3)
+    assert result["defect"] == 0.0
     assert (out_dir2 / "qpot_path.csv").exists()
+
+
+def test_unsupported_models_exit_as_config_errors(tmp_path, capsys):
+    # hopf-radial has no rest state at 0, where minimum-action paths start
+    qpot = write_config(tmp_path, "q.yaml", {
+        "version": 1,
+        "model": {"name": "hopf-radial"},
+        "target": [1.2],
+    })
+    code, _, err = run(capsys, "qpot", "--config", qpot, "--out", str(tmp_path))
+    assert code == 2
+    assert stderr_json(err)["error"] == "ConfigurationError"
+    # dt above burgers1d's explicit stability ceiling h^2/2
+    sim = write_config(tmp_path, "s.yaml", dict(
+        SIM, model={"name": "burgers1d"},
+        grid={"t_start": 0.0, "t_end": 0.01, "dt": 0.001}))
+    code2, _, err2 = run(capsys, "simulate", "--config", sim, "--out", str(tmp_path))
+    assert code2 == 2
+    assert stderr_json(err2)["error"] == "ConfigurationError"
 
 
 def test_verify_ldp_command(tmp_path, capsys):

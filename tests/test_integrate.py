@@ -14,6 +14,7 @@ from ldpkit import (
     h_norm_sq,
     integrate_skeleton,
     load_path,
+    pullback_stationary,
     sample_noise,
     save_path,
 )
@@ -122,9 +123,15 @@ def test_skeleton_control_objects_and_zero_extension(ou):
 
 
 def test_stability_ceiling_enforced(burgers):
+    # one check for every stepping entry point: a configuration error,
+    # never a divergence after the first few steps
     g = from_dt(0.0, 0.01, 1e-3)  # far above h^2/2
     with pytest.raises(ConfigurationError):
         integrate_skeleton(burgers, np.zeros(64), g)
+    with pytest.raises(ConfigurationError):
+        em_step_sde(burgers, np.zeros(64), g, sample_noise(g, burgers.modes, 0), 0.05)
+    with pytest.raises(ConfigurationError):
+        pullback_stationary(burgers, 0.05, seed=0, view=g)
 
 
 def _first_blowup_step(model, x, grid, noise, eps):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erfc
 
 from ldpkit import (
+    ConfigurationError,
     DivergenceError,
     Event,
     InputError,
@@ -139,7 +140,7 @@ def test_sampling_validation(ou, burgers):
         sample_stationary(ou, 0.1, 0, seed=0)
     with pytest.raises(InputError):
         sample_stationary(ou, 0.1, 4, seed=0, dt=-0.1)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         sample_stationary(burgers, 0.05, 4, seed=0, dt=1.0)  # above ceiling
     with pytest.raises(InputError):
         sample_stationary(ou, 0.1, 4, seed=0, horizons=[5.0])

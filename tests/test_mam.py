@@ -9,9 +9,11 @@ from ldpkit import (
     OptimizationStalledError,
     Path,
     TimeGrid,
+    action,
+    make_model,
     minimize_action,
     quasipotential,
-    save_qp_result,
+    write_json,
 )
 from ldpkit.mam import default_t_schedule
 
@@ -88,25 +90,54 @@ def test_input_validation(ou, periodic, lin_a2):
 
 
 def test_stalled_optimizer_carries_best_iterate(ou, monkeypatch):
-    import scipy.optimize
+    # every trial scores the same as the start, so no damped step decreases
+    # the value and the damping runs past its ceiling
+    import ldpkit.mam
 
-    class FakeResult:
-        status = 2
-        message = "ABNORMAL_TERMINATION_IN_LNSRCH"
-        nit = 7
-
-        def __init__(self, x0):
-            self.x = x0
-            self.fun = 123.0
-
+    real = ldpkit.mam.value_and_gradient
     monkeypatch.setattr(
-        "ldpkit.mam._scipy_minimize",
-        lambda obj, x0, **kw: FakeResult(x0),
+        "ldpkit.mam.value_and_gradient",
+        lambda model, path: (123.0, real(model, path)[1]),
     )
     with pytest.raises(OptimizationStalledError) as exc:
         minimize_action(ou, [1.0], 2.0, 50)
     assert exc.value.value == 123.0
     assert isinstance(exc.value.path, Path)
+    # the best iterate is the untouched linear start
+    assert np.array_equal(exc.value.path.states[:, 0], np.linspace(0.0, 1.0, 51))
+
+
+def test_models_not_resting_at_zero_are_rejected(hopf):
+    # paths start at 0, where hopf-radial's diffusion factor vanishes
+    with pytest.raises(ConfigurationError):
+        minimize_action(hopf, [1.2], 2.0, 50)
+    with pytest.raises(ConfigurationError):
+        quasipotential(hopf, [1.2])
+
+
+def test_gauss_newton_solves_quadratic_problems_in_few_steps(ou, lin_a2):
+    # v is linear in the path for linear drift, so Gauss-Newton is Newton
+    for model, target in ((ou, [1.0]), (lin_a2, [0.6, -0.8])):
+        res = quasipotential(model, target)
+        assert res.converged
+        assert max(res.iterations) <= 3
+        assert res.defect == 0.0
+
+
+def test_additive_burgers_cost_tends_to_linearized_oracle():
+    # linearized in the first sine mode, reaching a*e_1 costs
+    # lam1 a^2 / (1 - exp(-2 lam1 T)) with lam1 the discrete Dirichlet
+    # eigenvalue and c_1 = 1; the nonlinear correction shrinks like a^2
+    model = make_model("burgers1d", {"diffusion": "additive"})
+    lam1 = model.constants.c1
+    T = 6.0 / lam1
+    gaps = []
+    for a in (0.2, 0.1, 0.05):
+        path, value = minimize_action(model, a * model.mode_matrix[:, 0], T, 30)
+        gaps.append(abs(value / (lam1 * a**2 / (1.0 - np.exp(-2.0 * lam1 * T))) - 1.0))
+        assert action(model, path).defect < 1e-3
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 5e-4
 
 
 def test_default_schedule_scales_with_relaxation(ou, hopf):
@@ -137,12 +168,36 @@ def test_quasipotential_schedule_validation(ou):
         quasipotential(ou, [1.0], tol=0.0)
 
 
+def test_capped_continuation_is_not_converged(ou, monkeypatch):
+    # one damped step from the linear start leaves the gradient above
+    # gtol: values agree within tol, but no horizon was solved
+    monkeypatch.setattr("ldpkit.mam._MAX_ITER", 1)
+    res = quasipotential(ou, [1.0], T_schedule=[2.0, 4.0, 6.0], tol=10.0)
+    assert not res.converged
+    assert res.horizons == [2.0, 4.0, 6.0]
+    assert res.iterations == [1, 1, 1]
+    assert "horizon(s) 2, 4, 6" in res.warning
+
+
+def test_unreachable_path_is_not_converged():
+    # beyond the K = 8 noise modes the residual is free, so the descent
+    # drives the value of 0.3 e_1 to zero along paths no control produces
+    model = make_model("burgers1d", {"grid": 19, "K": 8})
+    target = np.zeros(19)
+    target[0] = 0.3
+    res = quasipotential(model, target)
+    assert res.defect == action(model, res.path).defect > 1.0
+    assert not res.converged
+    assert "defect" in res.warning
+
+
 def test_qp_result_serialization(tmp_path, ou):
     res = quasipotential(ou, [0.5], T_schedule=[2.0, 4.0], tol=1e-2)
     f = tmp_path / "qp.json"
-    save_qp_result(res, f)
+    write_json(res.to_dict(), f)
     data = json.loads(f.read_text())
     assert data["target"] == [0.5]
     assert data["values"] == pytest.approx(res.values)
     assert "path" not in data
     assert data["converged"] == res.converged
+    assert data["defect"] == res.defect

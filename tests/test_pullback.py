@@ -14,8 +14,8 @@ from ldpkit import (
     pullback_skeleton,
     pullback_stationary,
     sample_noise,
-    save_diagnostics,
     stationarity_check,
+    write_json,
 )
 from ldpkit.pullback import _ladder_grids, _run_ladder, default_horizons
 
@@ -156,7 +156,7 @@ def test_stationarity_check_validation(ou):
 def test_save_diagnostics(tmp_path):
     diag = PullbackDiag([5.0, 10.0], [0.1], -1.2, True)
     f = tmp_path / "diag.json"
-    save_diagnostics(diag, f)
+    write_json(diag.to_dict(), f)
     data = json.loads(f.read_text())
     assert data == {
         "horizons": [5.0, 10.0],
