@@ -268,10 +268,15 @@ def _run_mam(config, seed_override, out_dir):
         raise InputError(f"mam.init: expected linear or reversed-flow, got {init!r}")
     names = _outputs(config, "mam", {"path": "mam_path.csv",
                                      "report": "mam_report.json"})
-    path, value = mam.minimize_action(model, target, T, steps, init=init)
+    path, value, iterations, met_gtol = mam.solve_horizon(model, target, T, steps, init=init)
+    defect = compute_action(model, path).defect
     save_path(path, os.path.join(out_dir, names["path"]))
-    write_json({"value": value, "T": T, "steps": steps},
+    write_json({"value": value, "T": T, "steps": steps, "iterations": iterations,
+                "met_gtol": met_gtol, "defect": defect},
                os.path.join(out_dir, names["report"]))
+    if not met_gtol or defect > 1e-3:  # qpot's default tol; exit 0, like an unconverged qpot
+        print(json.dumps({"warning": f"mam stopped after {iterations} steps, met_gtol "
+                                     f"{met_gtol}, defect {defect:.3g}"}), file=sys.stderr)
     return None
 
 

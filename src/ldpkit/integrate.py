@@ -117,12 +117,19 @@ def check_dt(model: ModelSpec, dt: float) -> None:
 
 
 def mode_drive(model: ModelSpec, eps: float, inc: np.ndarray) -> np.ndarray:
-    """Drive sqrt(eps) * sum_k dW_k c_k e_k of increments (n, steps, K), as (steps, n, dim)."""
-    out = np.empty((inc.shape[1], inc.shape[0], model.dim))
-    # the product keeps the operand shapes, which fix its rounding
-    np.matmul(np.sqrt(eps) * (inc * model.mode_weights), model.mode_matrix.T,
-              out=out.transpose(1, 0, 2))
-    return out
+    """Drive sqrt(eps) * sum_k dW_k c_k e_k of increments (n, steps, K), as (steps, n, dim).
+
+    inc is read step-major, as gaussian_block lays it out (else copied once).
+    An identity mode matrix's product, a*1 + b*0 = a, is exact and skipped.
+    """
+    n, steps, k = inc.shape
+    drive = inc.transpose(1, 0, 2).reshape(steps, n * k) * np.tile(model.mode_weights, n)
+    drive *= np.sqrt(eps)
+    drive = drive.reshape(steps, n, k)
+    if k == model.dim and np.array_equal(model.mode_matrix, np.eye(k)):
+        return drive
+    # a product per seed: one gemm over steps * n rows (or gemv for one step) rounds differently
+    return np.matmul(drive.transpose(1, 0, 2), model.mode_matrix.T).transpose(1, 0, 2)
 
 
 def blowup_sq(model: ModelSpec, states: np.ndarray) -> np.ndarray:
@@ -137,13 +144,16 @@ def em_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
 
     x is (blocks * n, dim), or (dim,) for n = 1; its blocks of n rows share
     drive, (len(times), n, dim).  path[i], if given, gets the state after step i.
+    With b = 1 the kick 1.0 * drive[i] is drive[i] itself.
     """
+    blocks = x.reshape(-1, *drive.shape[1:])  # a view of x
     shape = (-1, drive.shape[1], 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(times):
-            kick = (model.diffusion_factor(x).reshape(shape) * drive[i]).reshape(x.shape)
+            kick = drive[i] if model.unit_diffusion else (
+                model.diffusion_factor(x).reshape(shape) * drive[i])
             x += dt * drift(model, x, t)
-            x += kick
+            blocks += kick
             if path is not None:
                 path[i] = x
 

@@ -98,10 +98,12 @@ def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,
     elif init == "linear":
         states = np.linspace(0.0, 1.0, steps + 1)[:, None] * target[None, :]
     elif init == "reversed-flow":
-        # the forward flow from the target decays toward rest; played
-        # backwards it is a candidate transition path
-        forward = integrate_skeleton(model, target, TimeGrid(0.0, grid.t_end - grid.t_start, steps))
-        states = forward.states[::-1].copy()
+        # the forward flow from the target decays toward rest; played backwards
+        # it is a candidate transition path (m Heun substeps per step keep it stable)
+        m = 1 if model.max_stable_dt is None else int(np.ceil(grid.dt / model.max_stable_dt))
+        forward = integrate_skeleton(model, target,
+                                     TimeGrid(0.0, grid.t_end - grid.t_start, steps * m))
+        states = forward.states[::-m].copy()
     else:
         raise InputError(
             f"init must be 'linear', 'reversed-flow' or a Path, got {init!r}"
@@ -171,6 +173,13 @@ def _minimize(model: ModelSpec, target: np.ndarray, T: float, grid_steps: int,
     return path, value, _MAX_ITER, bool(np.max(np.abs(grad[1:-1])) <= _GTOL)
 
 
+def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
+                  init: Union[Path, str] = "linear"):
+    """minimize_action with the solver's verdict: (path, value, iterations, met_gtol)."""
+    _check_model(model)
+    return _minimize(model, _check_target(model, target), T, grid_steps, init)
+
+
 def minimize_action(model: ModelSpec, target, T: float, grid_steps: int,
                     init: Union[Path, str] = "linear"):
     """Cheapest discrete path from rest at -T to `target` at 0.
@@ -179,10 +188,7 @@ def minimize_action(model: ModelSpec, target, T: float, grid_steps: int,
     still returns the best path found; damping past its ceiling without
     a decrease raises OptimizationStalledError carrying the best iterate.
     """
-    _check_model(model)
-    x = _check_target(model, target)
-    path, value, _, _ = _minimize(model, x, T, grid_steps, init)
-    return path, value
+    return solve_horizon(model, target, T, grid_steps, init)[:2]
 
 
 def default_t_schedule(model: ModelSpec) -> list[float]:

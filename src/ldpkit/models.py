@@ -67,6 +67,7 @@ class ModelSpec:
     sample_state: Callable      # rng -> one state in the model's test domain
     mass: float                 # H inner product weight
     autonomous: bool            # g identically zero
+    unit_diffusion: bool        # b identically 1
     zero_equilibrium: bool      # drift vanishes at 0 and 0 is the rest state
     relax_rate: float           # contraction scale used for horizon schedules
     eps0: float                 # admissible noise strengths are eps <= eps0
@@ -181,6 +182,7 @@ def _make_ou(a: float = 1.0) -> ModelSpec:
         sample_state=_box_sampler(-2.0, 2.0, 1),
         mass=1.0,
         autonomous=True,
+        unit_diffusion=True,
         zero_equilibrium=True,
         relax_rate=a,
         eps0=0.5,
@@ -221,6 +223,7 @@ def _make_periodic1d() -> ModelSpec:
         sample_state=_box_sampler(-2.0, 2.0, 1),
         mass=1.0,
         autonomous=False,
+        unit_diffusion=True,
         zero_equilibrium=True,
         relax_rate=4.0,
         eps0=0.5,
@@ -268,6 +271,7 @@ def _make_linear2d(variant: str, lam: float = 0.3, beta: float = 2.0) -> ModelSp
         sample_state=_box_sampler(-2.0, 2.0, 2),
         mass=1.0,
         autonomous=True,
+        unit_diffusion=True,
         zero_equilibrium=True,
         relax_rate=lam,
         eps0=0.5,
@@ -316,6 +320,7 @@ def _make_hopf_radial(c: float = 1.0) -> ModelSpec:
         sample_state=_box_sampler(1.4, 2.0, 1),
         mass=1.0,
         autonomous=True,
+        unit_diffusion=False,
         zero_equilibrium=False,
         # linearization rate at the attracting radius: |3/2 - 3 r*^2| = 3
         relax_rate=3.0,
@@ -425,6 +430,7 @@ def _make_burgers1d(grid: int = 64, K: int = 16, d0: float = 1.0,
         sample_state=sample,
         mass=h,
         autonomous=True,
+        unit_diffusion=diffusion == "additive",
         zero_equilibrium=True,
         relax_rate=c1,
         eps0=0.1,

@@ -76,8 +76,10 @@ def derive_seeds_from(seed: int, first_index: int, count: int) -> np.ndarray:
 
 
 def _stream_states(seeds) -> np.ndarray:
-    arr = np.asarray([_as_u64(s) for s in np.atleast_1d(seeds)], dtype=np.uint64)
-    return _mix64(arr ^ _SALT_STREAM)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        # checked one by one, as objects so that ints past 2**63 stay ints
+        seeds = [_as_u64(s) for s in np.atleast_1d(np.asarray(seeds, dtype=object))]
+    return _mix64(np.asarray(seeds, dtype=np.uint64) ^ _SALT_STREAM)
 
 
 def _zigzag(steps: np.ndarray) -> np.ndarray:
@@ -89,27 +91,28 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) ->
     """N(0, dt) increments for absolute steps [first_step, first_step+steps).
 
     Returns shape (len(seeds), steps, modes); each seed indexes an
-    independent stream, each (step, mode) cell a fixed counter word.
+    independent stream, each (step, mode) cell a fixed counter word.  It is
+    the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
     """
     if modes < 1:
         raise InputError(f"mode count must be positive, got {modes}")
     if steps < 0:
         raise InputError("step count must be non-negative")
     states = _stream_states(seeds)
-    z = _zigzag(first_step + np.arange(steps, dtype=np.int64))
-    words = z[:, None] * np.uint64(modes) + np.arange(modes, dtype=np.uint64)[None, :]
-    offsets = (words + np.uint64(1)) * _GOLDEN
-    out = np.empty((len(states), steps, modes))
-    # a few seeds at a time, so that the passes below run in cache
-    rows = max(1, _TILE_WORDS // max(1, offsets.size))
-    for r in range(0, len(states), rows):
-        x = _mix64(states[r : r + rows, None, None] + offsets)
+    # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
+    base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()
+    step_part = (_zigzag(first_step + np.arange(steps)) * np.uint64(modes) * _GOLDEN)[:, None]
+    out = np.empty((steps, base.size))
+    # a few steps at a time, so that the passes below run in cache
+    rows = max(1, _TILE_WORDS // max(1, base.size))
+    for r in range(0, steps, rows):
+        x = _mix64(step_part[r : r + rows] + base)
         # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
-        u = np.add(x >> np.uint64(11), 0.5, out=out[r : r + rows])
+        u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=out[r : r + rows])
         u *= 2.0**-53
         ndtri(u, out=u)
         u *= np.sqrt(dt)
-    return out
+    return out.reshape(steps, len(states), modes).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import yaml
 
-from ldpkit import load_path
+from ldpkit import load_path, make_model
 from ldpkit.cli import main
+from ldpkit.mam import _MAX_ITER
 
 
 def write_config(tmp_path, name, body):
@@ -238,6 +239,8 @@ def test_mam_and_qpot_commands(tmp_path, capsys):
     assert code == 0, err
     report = json.loads((out_dir / "mam_report.json").read_text())
     assert report["value"] == pytest.approx(1.0 / (1.0 - np.exp(-8.0)), rel=1e-3)
+    assert report["met_gtol"] is True and report["defect"] == 0.0
+    assert err == ""
 
     qpot_cfg = write_config(tmp_path, "qpot.yaml", {
         "version": 1,
@@ -254,6 +257,30 @@ def test_mam_and_qpot_commands(tmp_path, capsys):
     assert result["converged_value"] == pytest.approx(1.0, rel=5e-3)
     assert result["defect"] == 0.0
     assert (out_dir2 / "qpot_path.csv").exists()
+
+
+def test_mam_report_carries_the_solver_verdict(tmp_path, capsys):
+    # 0.3 at the first grid point of burgers1d lies outside the 16-mode
+    # noise span: the solver hits its cap at a near-zero value on a path
+    # that no control produces
+    cfg = {"version": 1, "model": {"name": "burgers1d"}, "T": 0.81, "steps": 41,
+           "target": [0.3] + [0.0] * 63}
+    out_dir = tmp_path / "capped"
+    code, _, err = run(capsys, "mam", "--config", write_config(tmp_path, "c.yaml", cfg),
+                       "--out", str(out_dir))
+    assert code == 0
+    report = json.loads((out_dir / "mam_report.json").read_text())
+    assert report["iterations"] == _MAX_ITER and report["met_gtol"] is False
+    assert report["defect"] > 1e3
+    assert "defect" in stderr_json(err)["warning"]
+    # 0.3 times the first noise mode is reachable and solved without a warning
+    cfg["target"] = (0.3 * make_model("burgers1d").mode_matrix[:, 0]).tolist()
+    out_dir = tmp_path / "solved"
+    code, _, err = run(capsys, "mam", "--config", write_config(tmp_path, "s.yaml", cfg),
+                       "--out", str(out_dir))
+    assert code == 0 and err == ""
+    report = json.loads((out_dir / "mam_report.json").read_text())
+    assert report["met_gtol"] is True and report["defect"] < 1e-3
 
 
 def test_unsupported_models_exit_as_config_errors(tmp_path, capsys):

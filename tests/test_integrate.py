@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from ldpkit import (
     h_norm_sq,
     integrate_skeleton,
     load_path,
+    make_model,
     pullback_stationary,
     sample_noise,
     save_path,
 )
-from ldpkit.integrate import BLOWUP_NORM
+from ldpkit.integrate import BLOWUP_NORM, em_advance, mode_drive
+from ldpkit.noise import gaussian_block
 
 
 def test_path_validation_and_lookup():
@@ -182,3 +186,39 @@ def test_load_rejects_non_uniform_times(tmp_path):
     f.write_text("time,x1\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     with pytest.raises(InputError):
         load_path(f)
+
+
+def test_mode_drive_is_the_per_seed_product(ou, lin_a2, hopf, burgers):
+    # identity mode matrices skip the product, a*1 + b*0 = a being exact;
+    # burgers1d keeps one product per seed block, one-step blocks included
+    seeds = np.arange(1, 8, dtype=np.uint64)
+    for model in (ou, lin_a2, hopf, burgers):
+        for steps in (25, 1):
+            inc = gaussian_block(seeds, -30, steps, model.modes, 0.01)
+            expected = np.matmul(np.sqrt(0.2) * (inc * model.mode_weights), model.mode_matrix.T)
+            drive = mode_drive(model, 0.2, inc)
+            assert drive.shape == (steps, len(seeds), model.dim)
+            assert np.array_equal(drive, expected.transpose(1, 0, 2)), model.name
+            # a seed-major copy of the same increments gives the same drive
+            assert np.array_equal(mode_drive(model, 0.2, inc.copy()), drive), model.name
+
+
+def test_unit_diffusion_step_is_the_generic_kick():
+    model = make_model("burgers1d", {"diffusion": "additive"})
+    assert model.unit_diffusion
+    generic = dataclasses.replace(model, unit_diffusion=False)
+    dt = model.default_dt
+    inc = gaussian_block(np.arange(1, 4, dtype=np.uint64), -300, 300, model.modes, dt)
+    drive = mode_drive(model, 0.05, inc)
+    times = np.arange(-300, 0) * dt
+    start = np.sin(np.linspace(0.0, 30.0, 2 * 3 * model.dim)).reshape(6, model.dim)
+    runs = []
+    for m in (model, generic):
+        x = start.copy()  # two blocks of three rows share each step's drive
+        em_advance(m, x, times, dt, drive)
+        runs.append(x)
+    assert np.array_equal(runs[0], runs[1])
+    grid = TimeGrid(-300 * dt, 0.0, 300)
+    noise = sample_noise(grid, model.modes, seed=4)
+    paths = [em_step_sde(m, start[0], grid, noise, 0.05).states for m in (model, generic)]
+    assert np.array_equal(paths[0], paths[1])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_sampling_is_deterministic_and_seed_sensitive(ou):
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (64, 1)
+
+
+def test_sampling_frozen_values(ou, lin_a1):
+    # frozen-seed samples are part of the reproducibility contract: a faster
+    # engine must reproduce these bytes exactly
+    def sha256(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    assert sha256(sample_stationary(ou, 0.1, 64, seed=1, dt=0.01)) == (
+        "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc")
+    assert sha256(sample_stationary(lin_a1, 0.2, 64, seed=5, dt=0.005)) == (
+        "03afdb8ee19056a69b7fecfc377f7127f54221e2265e7011231cccd6d4c00b5e")
 
 
 def test_sampling_chunking_invariance(ou, all_models):

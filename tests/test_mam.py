@@ -15,7 +15,7 @@ from ldpkit import (
     quasipotential,
     write_json,
 )
-from ldpkit.mam import default_t_schedule
+from ldpkit.mam import _minimize, default_t_schedule
 
 
 def ou_finite_horizon_cost(a, x, T):
@@ -138,6 +138,16 @@ def test_additive_burgers_cost_tends_to_linearized_oracle():
         assert action(model, path).defect < 1e-3
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-4
+
+
+def test_reversed_flow_start_runs_under_the_stability_ceiling(burgers):
+    # the MAM step 0.02 is far above burgers1d's h^2/2 ceiling, so the
+    # reversed flow is integrated in Heun substeps
+    target = 0.1 * burgers.mode_matrix[:, 0]
+    _, value, _, met_gtol = _minimize(burgers, target, 0.6, 30, "reversed-flow")
+    _, ref, _, ref_met_gtol = _minimize(burgers, target, 0.6, 30, "linear")
+    assert met_gtol and ref_met_gtol
+    assert value == pytest.approx(ref, rel=1e-6)
 
 
 def test_default_schedule_scales_with_relaxation(ou, hopf):

@@ -129,6 +129,16 @@ def test_autonomous_models_have_zero_forcing(all_models):
             assert np.allclose(model.forcing(1.7), np.zeros(model.dim))
 
 
+def test_unit_diffusion_flag_matches_the_factor(all_models):
+    rng = np.random.default_rng(3)
+    models = all_models + [make_model("burgers1d", {"diffusion": "additive"})]
+    for model in models:
+        b = model.diffusion_factor(np.stack([model.sample_state(rng) for _ in range(20)]))
+        assert model.unit_diffusion == bool(np.all(b == 1.0)), model.name
+    # ou, periodic1d, linear2d-a1, linear2d-a2, hopf-radial, burgers1d, additive burgers1d
+    assert [m.unit_diffusion for m in models] == [True] * 4 + [False, False, True]
+
+
 def test_hopf_diffusion_is_linear(hopf):
     r = np.array([1.3])
     assert hopf.diffusion_factor(r) == pytest.approx(1.3)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,37 @@ def test_gaussian_block_shape_and_anchoring():
     left = gaussian_block([1], -50, 10, 4, 0.01)
     right = gaussian_block([1], -40, 10, 4, 0.01)
     assert np.array_equal(np.concatenate([left, right], axis=1)[0], block[0])
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_gaussian_block_frozen_values():
+    # the (seed, step, mode) -> hash -> ndtri stream is a reproducibility
+    # contract; changing these bytes needs a stream-version bump
+    block = gaussian_block([1, 2, 3], -50, 20, 4, 0.01)
+    assert sha256(block) == "dbe5b450d624d1d157f93caec480bac4ec642937b8b6b4a96c19e62068bf487a"
+
+
+def test_gaussian_block_is_step_major():
+    block = gaussian_block([1, 2, 3], -50, 20, 4, 0.01)
+    assert block.shape == (3, 20, 4)
+    # each step's draws for all seeds are one contiguous run
+    assert block.transpose(1, 0, 2).flags.c_contiguous
+    assert block.strides == (4 * 8, 3 * 4 * 8, 8)
+
+
+def test_seed_arrays_and_seed_lists_agree():
+    seeds = derive_seeds_from(9, 0, 5)  # as ints, some are above 2**63
+    block = gaussian_block(seeds, 7, 12, 3, 0.1)
+    assert np.array_equal(block, gaussian_block([int(s) for s in seeds], 7, 12, 3, 0.1))
+    # other integer arrays take the per-seed checks
+    assert np.array_equal(gaussian_block(np.array([1, 2]), 7, 12, 3, 0.1),
+                          gaussian_block(np.array([1, 2], dtype=np.uint64), 7, 12, 3, 0.1))
+    for bad in ([1, -1], np.array([1, -1]), [1.0], [True]):
+        with pytest.raises(InputError):
+            gaussian_block(bad, 0, 4, 1, 0.1)
 
 
 def test_increment_moments():
