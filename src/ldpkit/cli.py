@@ -6,6 +6,10 @@ silently change an experiment.  Each run writes its artifacts plus an
 echo of the effective config into the output directory; re-running the
 echo reproduces the artifacts bit for bit.
 
+Each command is one `_COMMANDS` entry, made by `@_command`: its config
+keys with parser and default, its artifact names, and a run body that
+looks the library functions up when it runs.  `_parse` applies the entry.
+
 Exit codes: 0 success, 2 validation problems (bad config, bad files),
 3 numerical failures (blow-up, non-convergence, stalled descent), with
 a one-line JSON reason on stderr.
@@ -14,10 +18,12 @@ a one-line JSON reason on stderr.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -39,13 +45,11 @@ from .integrate import em_step_sde, integrate_skeleton, load_path, save_path, wr
 from .models import make_model, model_names
 from .noise import sample_noise
 
-COMMANDS = ("simulate", "pullback", "skeleton", "action", "mam", "qpot",
-            "verify-ldp", "models")
-
 _NUMERICAL_ERRORS = (DivergenceError, NonConvergenceError,
                      OptimizationStalledError, NonInvertibleDiffusionError,
                      InsufficientDataError)
 _U64_MAX = (1 << 64) - 1
+_REQUIRED = object()  # the default of a key that every config must give
 
 
 def _check_keys(block: dict, allowed, context: str) -> None:
@@ -62,21 +66,21 @@ def _need(block: dict, key: str, context: str):
     return block[key]
 
 
-def _as_number(value, context: str, positive=False, nonnegative=False) -> float:
+# Parsers: (config value, context for messages) -> parsed value.
+
+def _as_number(value, context: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{context}: expected a number, got {value!r}")
     v = float(value)
     if positive and v <= 0:
         raise InputError(f"{context}: must be positive, got {v}")
-    if nonnegative and v < 0:
-        raise InputError(f"{context}: must be non-negative, got {v}")
     return v
 
 
-def _as_int(value, context: str, minimum=None) -> int:
+def _as_int(value, context: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{context}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise InputError(f"{context}: must be at least {minimum}, got {value}")
     return value
 
@@ -94,6 +98,26 @@ def _as_state_list(value, context: str) -> np.ndarray:
     return np.array([_as_number(v, context) for v in value])
 
 
+def _positive_list(value, context: str, minimum: int) -> list:
+    if not isinstance(value, (list, tuple)) or len(value) < minimum:
+        raise InputError(f"{context}: expected a list of {minimum} or more positive numbers")
+    return [_as_number(v, context, positive=True) for v in value]
+
+
+def _csv_path(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{context}: expected a CSV file path")
+    return value
+
+
+def _parse_x0(value, context: str):
+    return value if value == "rest" else _as_state_list(value, context)
+
+
+def _as_is(value, context: str):  # for a value the library checks itself
+    return value
+
+
 def _parse_grid(block, context: str) -> TimeGrid:
     _check_keys(block, ("t_start", "t_end", "dt"), context)
     t0 = _as_number(_need(block, "t_start", context), f"{context}.t_start")
@@ -104,30 +128,21 @@ def _parse_grid(block, context: str) -> TimeGrid:
     return from_dt(t0, t1, dt)
 
 
-def _parse_model(block, context: str = "model"):
+def _parse_model(block, context: str):
     _check_keys(block, ("name", "params"), context)
     name = _need(block, "name", context)
-    params = block.get("params") or {}
-    if not isinstance(params, dict):
+    params = block.get("params")  # None (absent or null) means the defaults
+    if params is not None and not isinstance(params, dict):
         raise InputError(f"{context}.params: expected a mapping")
     return make_model(name, params)
 
 
-def _positive_list(value, context: str, minimum: int = 2):
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or len(value) < minimum:
-        raise InputError(f"{context}: expected a list of {minimum} or more positive numbers")
-    return [_as_number(v, context, positive=True) for v in value]
-
-
-def _parse_event(block, context: str = "event") -> ldpverify.Event:
+def _parse_event(block, context: str) -> ldpverify.Event:
     _check_keys(block, ("kind", "threshold", "index", "lo", "hi"), context)
     kind = _need(block, "kind", context)
     if kind == "norm_ge":
         return ldpverify.Event.norm_ge(
-            _as_number(_need(block, "threshold", context), f"{context}.threshold",
-                       nonnegative=True))
+            _as_number(_need(block, "threshold", context), f"{context}.threshold"))
     if kind == "coord_ge":
         return ldpverify.Event.coord_ge(
             _as_int(_need(block, "index", context), f"{context}.index", minimum=0),
@@ -139,25 +154,65 @@ def _parse_event(block, context: str = "event") -> ldpverify.Event:
     raise InputError(f"{context}.kind: expected norm_ge, coord_ge or box, got {kind!r}")
 
 
-def _outputs(config: dict, context: str, defaults: dict) -> dict:
-    block = config.get("outputs") or {}
-    _check_keys(block, defaults, f"{context}.outputs")
-    named = dict(defaults)
+_as_positive = partial(_as_number, positive=True)
+_as_schedule = partial(_positive_list, minimum=1)
+
+# (parser, default) pairs shared by several commands
+_MODEL = (_parse_model, _REQUIRED)
+_SEED = (_as_seed, _REQUIRED)
+_HORIZONS = (partial(_positive_list, minimum=2), None)
+
+
+class _Command(NamedTuple):
+    keys: dict     # config key -> (parser, default); _REQUIRED marks a mandatory key
+    outputs: dict  # artifact -> default file name
+    run: Callable  # run(parsed config, artifact paths): calls the library, writes artifacts
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, outputs: dict, **keys):
+    """Register the decorated run body as command `name`."""
+    def register(run):
+        _COMMANDS[name] = _Command(keys, outputs, run)
+        return run
+    return register
+
+
+def _parse(command: str, config: dict) -> SimpleNamespace:
+    """The command's keys parsed and defaulted; `given` holds the keys the config names."""
+    keys = _COMMANDS[command].keys
+    _check_keys(config, [*keys, "version", "outputs"], command)
+    parsed = {}
+    for key, (parse, default) in keys.items():
+        value = config.get(key, default)
+        if value is _REQUIRED:
+            raise InputError(f"{command}: missing required key '{key}'")
+        # an optional key that is left out or null stays None
+        optional_none = value is None and default is None
+        parsed[key] = None if optional_none else parse(value, f"{command}.{key}")
+    return SimpleNamespace(given=set(config), **parsed)
+
+
+def _artifact_paths(config: dict, command: str, out_dir: str) -> dict:
+    names = dict(_COMMANDS[command].outputs)
+    block = {} if config.get("outputs") is None else config["outputs"]
+    _check_keys(block, names, f"{command}.outputs")
     for key, value in block.items():
         if not isinstance(value, str) or not value:
-            raise InputError(f"{context}.outputs.{key}: expected a file name")
-        named[key] = value
-    return named
+            raise InputError(f"{command}.outputs.{key}: expected a file name")
+        names[key] = value
+    return {key: os.path.join(out_dir, name) for key, name in names.items()}
 
 
-def _seed_from(config: dict, override, context: str) -> int:
-    if override is not None:
-        return override
-    return _as_seed(_need(config, "seed", context), f"{context}.seed")
+def _x0(c: SimpleNamespace) -> np.ndarray:
+    return c.model.pullback_init if isinstance(c.x0, str) else c.x0
 
 
-def _require_converged(diag, tol: float) -> None:
-    # artifacts are already on disk for inspection at this point
+def _save_ladder(path, diag, files: dict, tol: float) -> None:
+    save_path(path, files["path"])
+    write_json(diag.to_dict(), files["diagnostics"])
     if not diag.converged:
         raise NonConvergenceError(
             f"final pullback gap {diag.gaps[-1]:.3e} is not below tol = {tol:g}; "
@@ -166,170 +221,94 @@ def _require_converged(diag, tol: float) -> None:
         )
 
 
-# per-command top-level schemas; "version", "model" and "outputs" are shared
-_SCHEMAS = {
-    "simulate": ("version", "model", "seed", "eps", "x0", "grid", "outputs"),
-    "pullback": ("version", "model", "seed", "eps", "view", "horizons", "tol",
-                 "outputs"),
-    "skeleton": ("version", "model", "control", "x0", "grid", "view", "horizons",
-                 "tol", "outputs"),
-    "action": ("version", "model", "path", "outputs"),
-    "mam": ("version", "model", "target", "T", "steps", "init", "outputs"),
-    "qpot": ("version", "model", "target", "T_schedule", "steps_per_unit", "tol",
-             "outputs"),
-    "verify-ldp": ("version", "model", "seed", "eps_list", "event", "n_samples",
-                   "dt", "horizons", "tol", "reference", "outputs"),
-}
+@_command("simulate", {"path": "simulate_path.csv"},
+          model=_MODEL, eps=(_as_number, _REQUIRED), grid=(_parse_grid, _REQUIRED), seed=_SEED,
+          x0=(_parse_x0, _REQUIRED))
+def _simulate(c, files):
+    noise = sample_noise(c.grid, c.model.modes, c.seed)
+    save_path(em_step_sde(c.model, _x0(c), c.grid, noise, c.eps), files["path"])
 
 
-def _run_simulate(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "simulate"))
-    eps = _as_number(_need(config, "eps", "simulate"), "simulate.eps", nonnegative=True)
-    grid = _parse_grid(_need(config, "grid", "simulate"), "simulate.grid")
-    seed = _seed_from(config, seed_override, "simulate")
-    x0_raw = _need(config, "x0", "simulate")
-    x0 = model.pullback_init if x0_raw == "rest" else _as_state_list(x0_raw, "simulate.x0")
-    names = _outputs(config, "simulate", {"path": "simulate_path.csv"})
-    noise = sample_noise(grid, model.modes, seed)
-    path = em_step_sde(model, x0, grid, noise, eps)
-    save_path(path, os.path.join(out_dir, names["path"]))
-    return seed
+@_command("pullback", {"path": "pullback_path.csv",
+                       "diagnostics": "pullback_diagnostics.json"},
+          model=_MODEL, eps=(_as_number, _REQUIRED), view=(_parse_grid, _REQUIRED), seed=_SEED,
+          horizons=_HORIZONS, tol=(_as_positive, 1e-4))
+def _pullback(c, files):
+    path, diag = pullback.pullback_stationary(c.model, c.eps, c.seed, c.view,
+                                              horizons=c.horizons, tol=c.tol)
+    _save_ladder(path, diag, files, c.tol)
 
 
-def _run_pullback(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "pullback"))
-    eps = _as_number(_need(config, "eps", "pullback"), "pullback.eps", nonnegative=True)
-    view = _parse_grid(_need(config, "view", "pullback"), "pullback.view")
-    seed = _seed_from(config, seed_override, "pullback")
-    horizons = _positive_list(config.get("horizons"), "pullback.horizons")
-    tol = _as_number(config.get("tol", 1e-4), "pullback.tol", positive=True)
-    names = _outputs(config, "pullback", {"path": "pullback_path.csv",
-                                          "diagnostics": "pullback_diagnostics.json"})
-    path, diag = pullback.pullback_stationary(model, eps, seed, view,
-                                              horizons=horizons, tol=tol)
-    save_path(path, os.path.join(out_dir, names["path"]))
-    write_json(diag.to_dict(), os.path.join(out_dir, names["diagnostics"]))
-    _require_converged(diag, tol)
-    return seed
-
-
-def _run_skeleton(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "skeleton"))
-    control = None
-    if config.get("control") is not None:
-        if not isinstance(config["control"], str):
-            raise InputError("skeleton.control: expected a control CSV path")
-        control = load_control(config["control"])
-    names = _outputs(config, "skeleton", {"path": "skeleton_path.csv",
-                                          "diagnostics": "skeleton_diagnostics.json"})
-    if config.get("view") is not None:
+@_command("skeleton", {"path": "skeleton_path.csv",
+                       "diagnostics": "skeleton_diagnostics.json"},
+          model=_MODEL, control=(_csv_path, None), x0=(_parse_x0, None),
+          grid=(_parse_grid, None), view=(_parse_grid, None), horizons=_HORIZONS,
+          tol=(_as_positive, 1e-4))
+def _skeleton(c, files):
+    control = None if c.control is None else load_control(c.control)
+    if c.view is not None:
         # attractor mode: pullback ladder of the controlled equation
-        if config.get("grid") is not None or config.get("x0") is not None:
+        if c.grid is not None or c.x0 is not None:
             raise InputError("skeleton: give either view (pullback) or grid+x0, not both")
-        view = _parse_grid(config["view"], "skeleton.view")
-        horizons = _positive_list(config.get("horizons"), "skeleton.horizons")
-        tol = _as_number(config.get("tol", 1e-4), "skeleton.tol", positive=True)
-        path, diag = pullback.pullback_skeleton(model, control, view,
-                                                horizons=horizons, tol=tol)
-        write_json(diag.to_dict(), os.path.join(out_dir, names["diagnostics"]))
-        save_path(path, os.path.join(out_dir, names["path"]))
-        _require_converged(diag, tol)
-        return None
-    else:
-        grid = _parse_grid(_need(config, "grid", "skeleton"), "skeleton.grid")
-        x0_raw = _need(config, "x0", "skeleton")
-        x0 = model.pullback_init if x0_raw == "rest" else _as_state_list(x0_raw, "skeleton.x0")
-        path = integrate_skeleton(model, x0, grid, control)
-    save_path(path, os.path.join(out_dir, names["path"]))
-    return None
+        path, diag = pullback.pullback_skeleton(c.model, control, c.view,
+                                                horizons=c.horizons, tol=c.tol)
+        _save_ladder(path, diag, files, c.tol)
+        return
+    if c.grid is None or c.x0 is None or c.given & {"horizons", "tol"}:
+        raise InputError("skeleton: without a view (pullback), give grid and x0 "
+                         "and no horizons or tol")
+    save_path(integrate_skeleton(c.model, _x0(c), c.grid, control), files["path"])
 
 
-def _run_action(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "action"))
-    src = _need(config, "path", "action")
-    if not isinstance(src, str):
-        raise InputError("action.path: expected a trajectory CSV path")
-    path = load_path(src)
-    names = _outputs(config, "action", {"report": "action_report.json",
-                                        "control": "action_control.csv"})
-    report = compute_action(model, path)
-    write_json(report.to_dict(), os.path.join(out_dir, names["report"]))
-    save_control(report.control, os.path.join(out_dir, names["control"]))
-    return None
+@_command("action", {"report": "action_report.json", "control": "action_control.csv"},
+          model=_MODEL, path=(_csv_path, _REQUIRED))
+def _action(c, files):
+    report = compute_action(c.model, load_path(c.path))
+    write_json(report.to_dict(), files["report"])
+    save_control(report.control, files["control"])
 
 
-def _run_mam(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "mam"))
-    target = _as_state_list(_need(config, "target", "mam"), "mam.target")
-    T = _as_number(_need(config, "T", "mam"), "mam.T", positive=True)
-    steps = _as_int(_need(config, "steps", "mam"), "mam.steps", minimum=2)
-    init = config.get("init", "linear")
-    if init not in ("linear", "reversed-flow"):
-        raise InputError(f"mam.init: expected linear or reversed-flow, got {init!r}")
-    names = _outputs(config, "mam", {"path": "mam_path.csv",
-                                     "report": "mam_report.json"})
-    path, value, iterations, met_gtol = mam.solve_horizon(model, target, T, steps, init=init)
-    defect = compute_action(model, path).defect
-    save_path(path, os.path.join(out_dir, names["path"]))
-    write_json({"value": value, "T": T, "steps": steps, "iterations": iterations,
-                "met_gtol": met_gtol, "defect": defect},
-               os.path.join(out_dir, names["report"]))
+@_command("mam", {"path": "mam_path.csv", "report": "mam_report.json"},
+          model=_MODEL, target=(_as_state_list, _REQUIRED), T=(_as_positive, _REQUIRED),
+          steps=(partial(_as_int, minimum=2), _REQUIRED), init=(_as_is, "linear"))
+def _mam(c, files):
+    path, value, iterations, met_gtol = mam.solve_horizon(c.model, c.target, c.T, c.steps,
+                                                          init=c.init)
+    defect = compute_action(c.model, path).defect
+    save_path(path, files["path"])
+    write_json({"value": value, "T": c.T, "steps": c.steps, "iterations": iterations,
+                "met_gtol": met_gtol, "defect": defect}, files["report"])
     if not met_gtol or defect > 1e-3:  # qpot's default tol; exit 0, like an unconverged qpot
         print(json.dumps({"warning": f"mam stopped after {iterations} steps, met_gtol "
                                      f"{met_gtol}, defect {defect:.3g}"}), file=sys.stderr)
-    return None
 
 
-def _run_qpot(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "qpot"))
-    target = _as_state_list(_need(config, "target", "qpot"), "qpot.target")
-    schedule = _positive_list(config.get("T_schedule"), "qpot.T_schedule", minimum=1)
-    spu = _as_number(config.get("steps_per_unit", 50), "qpot.steps_per_unit",
-                     positive=True)
-    tol = _as_number(config.get("tol", 1e-3), "qpot.tol", positive=True)
-    names = _outputs(config, "qpot", {"result": "qpot_result.json",
-                                      "path": "qpot_path.csv"})
-    result = mam.quasipotential(model, target, T_schedule=schedule,
-                                steps_per_unit=spu, tol=tol)
-    write_json(result.to_dict(), os.path.join(out_dir, names["result"]))
-    save_path(result.path, os.path.join(out_dir, names["path"]))
-    return None
+@_command("qpot", {"result": "qpot_result.json", "path": "qpot_path.csv"},
+          model=_MODEL, target=(_as_state_list, _REQUIRED), T_schedule=(_as_schedule, None),
+          steps_per_unit=(_as_positive, 50), tol=(_as_positive, 1e-3))
+def _qpot(c, files):
+    result = mam.quasipotential(c.model, c.target, T_schedule=c.T_schedule,
+                                steps_per_unit=c.steps_per_unit, tol=c.tol)
+    write_json(result.to_dict(), files["result"])
+    save_path(result.path, files["path"])
 
 
-def _run_verify_ldp(config, seed_override, out_dir):
-    model = _parse_model(_need(config, "model", "verify-ldp"))
-    event = _parse_event(_need(config, "event", "verify-ldp"))
-    seed = _seed_from(config, seed_override, "verify-ldp")
-    eps_list = _positive_list(config.get("eps_list"), "verify-ldp.eps_list", minimum=1)
-    n_samples = _as_int(_need(config, "n_samples", "verify-ldp"),
-                        "verify-ldp.n_samples", minimum=1)
-    dt = config.get("dt")
-    if dt is not None:
-        dt = _as_number(dt, "verify-ldp.dt", positive=True)
-    horizons = _positive_list(config.get("horizons"), "verify-ldp.horizons")
-    tol = _as_number(config.get("tol", 1e-3), "verify-ldp.tol", positive=True)
-    names = _outputs(config, "verify-ldp", {"estimates": "ldp_estimates.csv",
-                                            "fit": "ldp_fit.json"})
-    estimates = ldpverify.estimate_event(model, event, eps_list=eps_list,
-                                         n_samples=n_samples, seed=seed,
-                                         dt=dt, horizons=horizons, tol=tol)
-    ldpverify.save_estimates(estimates, os.path.join(out_dir, names["estimates"]))
-    if config.get("reference") is not None:
-        reference = _as_number(config["reference"], "verify-ldp.reference")
-        fit = ldpverify.ldp_slope(estimates, reference)
-        write_json(fit.to_dict(), os.path.join(out_dir, names["fit"]))
-    return seed
-
-
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "pullback": _run_pullback,
-    "skeleton": _run_skeleton,
-    "action": _run_action,
-    "mam": _run_mam,
-    "qpot": _run_qpot,
-    "verify-ldp": _run_verify_ldp,
-}
+@_command("verify-ldp", {"estimates": "ldp_estimates.csv", "fit": "ldp_fit.json"},
+          model=_MODEL, event=(_parse_event, _REQUIRED), seed=_SEED,
+          eps_list=(_as_schedule, None), n_samples=(partial(_as_int, minimum=1), _REQUIRED),
+          dt=(_as_positive, None), horizons=_HORIZONS, tol=(_as_positive, 1e-3),
+          reference=(_as_number, None))
+def _verify_ldp(c, files):
+    # the slope fit needs 3 distinct eps (the default schedule has 4)
+    if c.reference is not None and c.eps_list is not None and len(set(c.eps_list)) < 3:
+        raise InputError("verify-ldp.eps_list: a fit against reference needs at least "
+                         f"3 distinct eps values, got {c.eps_list}")
+    estimates = ldpverify.estimate_event(c.model, c.event, eps_list=c.eps_list,
+                                         n_samples=c.n_samples, seed=c.seed,
+                                         dt=c.dt, horizons=c.horizons, tol=c.tol)
+    ldpverify.save_estimates(estimates, files["estimates"])
+    if c.reference is not None:
+        write_json(ldpverify.ldp_slope(estimates, c.reference).to_dict(), files["fit"])
 
 
 def _run_models() -> int:
@@ -368,10 +347,10 @@ def main(argv=None) -> int:
         description="Stationary solutions, path costs and rare-event checks "
                     "for a family of dissipative SDE models.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=[*_COMMANDS, "models"])
     parser.add_argument("--config", help="YAML experiment description")
     parser.add_argument("--seed", type=int, default=None,
-                        help="overrides the config seed")
+                        help="overrides the config seed (simulate, pullback, verify-ldp)")
     parser.add_argument("--out", default=".", help="artifact directory")
     args = parser.parse_args(argv)
 
@@ -380,17 +359,18 @@ def main(argv=None) -> int:
             return _run_models()
         if args.config is None:
             raise InputError(f"command '{args.command}' requires --config")
-        seed_override = None if args.seed is None else _as_seed(args.seed, "--seed")
         config = _load_config(args.config)
-        _check_keys(config, _SCHEMAS[args.command], args.command)
+        if args.seed is not None:
+            if "seed" not in _COMMANDS[args.command].keys:
+                raise InputError(f"--seed: command '{args.command}' takes no seed")
+            config["seed"] = _as_seed(args.seed, "--seed")  # lands in the echo
+        parsed = _parse(args.command, config)
+        files = _artifact_paths(config, args.command, args.out)
         os.makedirs(args.out, exist_ok=True)
-        effective_seed = _RUNNERS[args.command](config, seed_override, args.out)
-        echo = copy.deepcopy(config)
-        if effective_seed is not None:
-            echo["seed"] = int(effective_seed)
+        _COMMANDS[args.command].run(parsed, files)
         with open(os.path.join(args.out, f"{args.command.replace('-', '_')}_config.yaml"),
                   "w") as fh:
-            yaml.safe_dump(echo, fh, sort_keys=False)
+            yaml.safe_dump(config, fh, sort_keys=False)
         return 0
     except (ToolkitError, yaml.YAMLError, OSError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),

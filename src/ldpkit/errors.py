@@ -1,9 +1,9 @@
 """Exception taxonomy shared by the toolkit.
 
-Validation problems (bad arguments, bad configuration) and numerical
-failures (divergence, non-convergence, stalled optimization) are kept on
-separate branches so callers, in particular the command line layer, can
-map them to distinct exit codes.
+Every class derives from ToolkitError.  The command line maps them to
+exit codes through one table, `cli._NUMERICAL_ERRORS`: the numerical
+failures it lists (divergence, non-convergence, stalled optimization,
+...) exit 3; every other ToolkitError, a validation problem, exits 2.
 """
 
 

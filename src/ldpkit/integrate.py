@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grids import TimeGrid, same_spacing, step_offset
+from .grids import TimeGrid, same_spacing, step_offset, whole_steps
 from .models import ModelSpec, apply_diffusion, drift, h_norm_sq
 from .noise import NoisePath
 
@@ -167,8 +167,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
     """
     x = _check_x0(model, x0).copy()  # stepped in place
     check_dt(model, grid.dt)
-    if eps < 0:
-        raise InputError(f"eps must be non-negative, got {eps}")
+    check_eps(model, eps)
     if noise.modes != model.modes:
         raise InputError(
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
@@ -216,7 +215,8 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
         )
     out = np.zeros((grid.steps, model.modes))
     # overlap of the two step windows, zero elsewhere
-    off = int(round((cgrid.t_start - grid.t_start) / grid.dt))
+    off = whole_steps((cgrid.t_start - grid.t_start) / grid.dt,
+                      f"control grid start {cgrid.t_start} is off the trajectory's lattice")
     lo = max(0, off)
     hi = min(grid.steps, off + cgrid.steps)
     if lo < hi:

@@ -68,25 +68,29 @@ class Event:
             raise InputError("box has lo > hi in some coordinate")
         return cls(kind="box", lo=lo, hi=hi)
 
+    def check_fits(self, model: ModelSpec) -> None:
+        """Raise InputError unless the event's coordinates exist in the model's state."""
+        if self.kind == "coord_ge" and self.index >= model.dim:
+            raise InputError(
+                f"coordinate {self.index} out of range for dim {model.dim}"
+            )
+        if self.kind == "box" and self.lo.shape != (model.dim,):
+            raise InputError(
+                f"box corners have shape {self.lo.shape}, model dim is {model.dim}"
+            )
+
     def indicator(self, model: ModelSpec, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2 or states.shape[1] != model.dim:
             raise InputError(
                 f"states must have shape (n, {model.dim}), got {states.shape}"
             )
+        self.check_fits(model)
         if self.kind == "norm_ge":
             return h_norm(model, states) >= self.threshold
         if self.kind == "coord_ge":
-            if self.index >= model.dim:
-                raise InputError(
-                    f"coordinate {self.index} out of range for dim {model.dim}"
-                )
             return states[:, self.index] >= self.threshold
         if self.kind == "box":
-            if self.lo.shape != (model.dim,):
-                raise InputError(
-                    f"box corners have shape {self.lo.shape}, model dim is {model.dim}"
-                )
             return np.all((states >= self.lo) & (states <= self.hi), axis=1)
         raise InputError(f"unknown event kind {self.kind!r}")
 
@@ -238,6 +242,10 @@ def estimate_event(model: ModelSpec, event: Event, eps_list=None,
         eps_list = list(DEFAULT_EPS_SCHEDULE)
     if not isinstance(event, Event):
         raise InputError(f"event must be an Event, got {type(event).__name__}")
+    # what can be checked before the first (long) sampling run
+    event.check_fits(model)
+    for eps in eps_list:
+        check_eps(model, eps)
     estimates = []
     for j, eps in enumerate(eps_list):
         states = sample_stationary(model, eps, n_samples, derive_seed(seed, j),

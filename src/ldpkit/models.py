@@ -158,7 +158,6 @@ def _box_sampler(lo, hi, dim):
 
 def _make_ou(a: float = 1.0) -> ModelSpec:
     """Scalar linear model dx = -a x dt + sqrt(eps) dB."""
-    a = float(a)
     if a <= 0:
         raise InputError(f"ou needs a > 0, got {a}")
     factor, grad_factor = _const_factor(1.0)
@@ -240,8 +239,6 @@ def _make_linear2d(variant: str, lam: float = 0.3, beta: float = 2.0) -> ModelSp
     rotation beta J.  Both have isotropic Gaussian statistics with
     per-coordinate variance eps/(2 lam), but different path costs.
     """
-    lam = float(lam)
-    beta = float(beta)
     if lam <= 0:
         raise InputError(f"linear2d needs lambda > 0, got {lam}")
     if variant == "a1":
@@ -291,7 +288,6 @@ def _make_hopf_radial(c: float = 1.0) -> ModelSpec:
     radius is the object of interest.  Pair dissipativity holds on the
     working annulus [1.4, 2.0] used for sampling.
     """
-    c = float(c)
     if c <= 0:
         raise InputError(f"hopf-radial needs c > 0, got {c}")
 
@@ -331,22 +327,20 @@ def _make_hopf_radial(c: float = 1.0) -> ModelSpec:
     )
 
 
-def _make_burgers1d(grid: int = 64, K: int = 16, d0: float = 1.0,
+def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
                     diffusion: str = "multiplicative") -> ModelSpec:
     """Viscous conservation-law model on (0, 1) with Dirichlet ends.
 
         du = u_xx dt + (1/2)(u^2)_x dt + sqrt(eps) B(u) dW
 
-    discretized at `grid` interior points.  The advection term uses the
-    energy-conserving split (1/3)(u D u + D u^2) with the centered
-    difference D, which keeps <F(u), u>_H = 0 exactly at the discrete
-    level.  Noise lives on the first K sine modes with weights k^{-2};
-    the shipped multiplicative factor b(u) = d0 / (1 + ||u||_H^2) is
-    bounded and Lipschitz, the "additive" variant is b = 1.
+    discretized at n interior points (config key `grid`).  The advection
+    term uses the energy-conserving split (1/3)(u D u + D u^2) with the
+    centered difference D, which keeps <F(u), u>_H = 0 exactly at the
+    discrete level.  Noise lives on the first kmax sine modes (config key
+    `K`) with weights k^{-2}; the shipped multiplicative factor
+    b(u) = d0 / (1 + ||u||_H^2) is bounded and Lipschitz, the "additive"
+    variant is b = 1.
     """
-    n = int(grid)
-    kmax = int(K)
-    d0 = float(d0)
     if n < 4:
         raise InputError(f"burgers1d needs at least 4 interior points, got {n}")
     if kmax < 1 or kmax > n:
@@ -444,16 +438,26 @@ def _make_burgers1d(grid: int = 64, K: int = 16, d0: float = 1.0,
 # ---------------------------------------------------------------------------
 # registry
 
-# name -> (factory, config-facing parameter names mapped to factory kwargs)
+def _whole(value) -> int:
+    """An integer-valued parameter; 20.9 is refused, not truncated."""
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(x)
+
+
+# name -> (factory, config-facing parameter names -> (factory kwarg, conversion))
 _REGISTRY = {
-    "ou": (_make_ou, {"a": "a"}),
+    "ou": (_make_ou, {"a": ("a", float)}),
     "periodic1d": (_make_periodic1d, {}),
-    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": "lam"}),
-    "linear2d-a2": (lambda **kw: _make_linear2d("a2", **kw), {"lambda": "lam", "beta": "beta"}),
-    "hopf-radial": (_make_hopf_radial, {"c": "c"}),
+    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": ("lam", float)}),
+    "linear2d-a2": (lambda **kw: _make_linear2d("a2", **kw),
+                    {"lambda": ("lam", float), "beta": ("beta", float)}),
+    "hopf-radial": (_make_hopf_radial, {"c": ("c", float)}),
     "burgers1d": (
         _make_burgers1d,
-        {"grid": "grid", "K": "K", "d0": "d0", "diffusion": "diffusion"},
+        {"grid": ("n", _whole), "K": ("kmax", _whole), "d0": ("d0", float),
+         "diffusion": ("diffusion", str)},
     ),
 }
 
@@ -464,7 +468,7 @@ def model_names() -> list[str]:
 
 def make_model(name: str, params: Optional[dict] = None) -> ModelSpec:
     """Build a catalogue model, applying config-style parameter overrides."""
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise InputError(
             f"unknown model {name!r}; available: {', '.join(_REGISTRY)}"
         )
@@ -476,7 +480,14 @@ def make_model(name: str, params: Optional[dict] = None) -> ModelSpec:
             f"model {name!r} does not take parameter(s) {sorted(unknown)}; "
             f"allowed: {sorted(allowed) or 'none'}"
         )
-    kwargs = {allowed[k]: v for k, v in params.items()}
+    kwargs = {}
+    for key, value in params.items():
+        kwarg, convert = allowed[key]
+        try:
+            kwargs[kwarg] = convert(value)
+        except (TypeError, ValueError) as err:
+            raise InputError(f"model {name!r} parameter {key!r}: cannot use {value!r} "
+                             f"({err})") from None
     return factory(**kwargs)
 
 

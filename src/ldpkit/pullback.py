@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .grids import TimeGrid
+from .grids import TimeGrid, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
@@ -162,9 +162,9 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
         dt = model.default_dt
         view = TimeGrid(-2.0, 2.0, int(round(4.0 / dt)))
     dt = view.dt
-    m = s / dt
-    if s < 0 or abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
-        raise InputError(f"shift {s} must be a non-negative multiple of dt={dt}")
+    not_a_shift = f"shift {s} must be a non-negative multiple of dt={dt}"
+    if whole_steps(s / dt, not_a_shift) < 0:
+        raise InputError(not_a_shift)
     if horizons is None:
         horizons = default_horizons(model, view)
     shifted_view = TimeGrid(view.t_start + s, view.t_end + s, view.steps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ldpkit import load_path, make_model
+from ldpkit import Path, from_dt, load_path, make_model, save_path
 from ldpkit.cli import main
 from ldpkit.mam import _MAX_ITER
 
@@ -59,13 +59,42 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert echo == SIM
 
 
-def test_echo_reproduces_run_bit_for_bit(tmp_path, capsys):
-    cfg = write_config(tmp_path, "sim.yaml", SIM)
+# one small config per command; action's path is filled in by the test
+ECHO_CASES = {
+    "simulate": SIM,
+    "pullback": {"version": 1, "model": {"name": "ou"}, "eps": 0.1, "seed": 1,
+                 "view": {"t_start": -0.5, "t_end": 0.0, "dt": 0.01}},
+    "skeleton": {"version": 1, "model": {"name": "periodic1d"},
+                 "view": {"t_start": 0.0, "t_end": 1.0, "dt": 0.01}},
+    "action": {"version": 1, "model": {"name": "ou"}, "path": None},
+    "mam": {"version": 1, "model": {"name": "ou"}, "target": [1.0], "T": 2.0, "steps": 20},
+    "qpot": {"version": 1, "model": {"name": "ou"}, "target": [1.0],
+             "T_schedule": [1.0, 2.0]},
+    "verify-ldp": {"version": 1, "model": {"name": "ou"}, "seed": 3,
+                   "event": {"kind": "norm_ge", "threshold": 0.4},
+                   "eps_list": [0.4, 0.3, 0.2], "n_samples": 50, "dt": 0.01,
+                   "reference": 0.16},
+}
+
+
+@pytest.mark.parametrize("command", list(ECHO_CASES))
+def test_echo_reproduces_run_bit_for_bit(tmp_path, capsys, command):
+    config = dict(ECHO_CASES[command])
+    if command == "action":
+        trajectory = tmp_path / "trajectory.csv"
+        save_path(Path(from_dt(0.0, 0.2, 0.01), np.linspace(0.0, 1.0, 21)[:, None]),
+                  trajectory)
+        config["path"] = str(trajectory)
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run(capsys, "simulate", "--config", cfg, "--out", str(a))[0] == 0
-    echo = str(a / "simulate_config.yaml")
-    assert run(capsys, "simulate", "--config", echo, "--out", str(b))[0] == 0
-    assert (a / "simulate_path.csv").read_bytes() == (b / "simulate_path.csv").read_bytes()
+    code, _, err = run(capsys, command, "--config", write_config(tmp_path, "c.yaml", config),
+                       "--out", str(a))
+    assert code == 0, err
+    echo = a / f"{command.replace('-', '_')}_config.yaml"
+    assert run(capsys, command, "--config", str(echo), "--out", str(b))[0] == 0
+    written = sorted(p.name for p in a.iterdir())
+    assert written == sorted(p.name for p in b.iterdir()) and len(written) >= 2
+    for name in written:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_seed_override_lands_in_echo(tmp_path, capsys):
@@ -336,3 +365,64 @@ def test_bad_event_kind(tmp_path, capsys):
     code, _, err = run(capsys, "verify-ldp", "--config", cfg, "--out", str(tmp_path))
     assert code == 2
     assert "norm_ge" in stderr_json(err)["message"]
+
+
+FORWARD = {"version": 1, "model": {"name": "ou"}, "x0": [1.0],
+           "grid": {"t_start": 0.0, "t_end": 1.0, "dt": 0.01}}
+SMALL_BURGERS = {"t_start": 0.0, "t_end": 0.01, "dt": 0.001}  # under h^2/2 at grid 20
+LDP = dict(ECHO_CASES["verify-ldp"], reference=None)
+# tol 1e-300 makes any sampling run end in a NonConvergenceError (exit 3), so
+# a config mistake noticed only after sampling would show as exit 3
+LATE = dict(LDP, tol=1e-300)
+
+CONFIG_MISTAKES = [
+    # --seed only where a seed is used
+    pytest.param("qpot", ECHO_CASES["qpot"], ["--seed", "5"], 2, "InputError", id="qpot-seed"),
+    pytest.param("mam", ECHO_CASES["mam"], ["--seed", "5"], 2, "InputError", id="mam-seed"),
+    pytest.param("skeleton", FORWARD, ["--seed", "5"], 2, "InputError", id="skeleton-seed"),
+    # blocks that must be mappings when given
+    pytest.param("simulate", dict(SIM, model={"name": "ou", "params": []}), [], 2,
+                 "InputError", id="params-list"),
+    pytest.param("simulate", dict(SIM, outputs=0), [], 2, "InputError", id="outputs-zero"),
+    # forward skeleton takes no ladder keys
+    pytest.param("skeleton", dict(FORWARD, horizons=[2.0, 4.0]), [], 2, "InputError",
+                 id="forward-horizons"),
+    pytest.param("skeleton", dict(FORWARD, tol=1e-3), [], 2, "InputError", id="forward-tol"),
+    # model blocks that make_model cannot build
+    pytest.param("simulate", dict(SIM, model={"name": ["ou"]}), [], 2, "InputError",
+                 id="model-name-list"),
+    pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": "x"}}), [], 2,
+                 "InputError", id="model-param-string"),
+    pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
+                                              "params": {"grid": 20.9, "K": 4}},
+                                  grid=SMALL_BURGERS), [], 2, "InputError",
+                 id="burgers-fractional-grid"),
+    pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
+                                              "params": {"grid": 20, "K": 4.5}},
+                                  grid=SMALL_BURGERS), [], 2, "InputError",
+                 id="burgers-fractional-K"),
+    # eps above the model's ceiling, as pullback already refuses it
+    pytest.param("simulate", dict(SIM, eps=0.9), [], 2, "ConfigurationError",
+                 id="simulate-eps-ceiling"),
+    # verify-ldp mistakes found before sampling
+    pytest.param("verify-ldp", dict(LDP, eps_list=[0.4, 0.4, 0.2], reference=0.16), [], 2,
+                 "InputError", id="reference-two-distinct-eps"),
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "coord_ge", "index": 1,
+                                                 "threshold": 0.5}), [], 2, "InputError",
+                 id="coord-index-out-of-range"),
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "box", "lo": [0.0, 0.0],
+                                                 "hi": [1.0, 1.0]}), [], 2, "InputError",
+                 id="box-corner-shape"),
+    pytest.param("verify-ldp", dict(LATE, eps_list=[0.4, 0.9]), [], 2, "ConfigurationError",
+                 id="later-eps-above-ceiling"),
+    # a numerical failure stays exit 3
+    pytest.param("verify-ldp", LATE, [], 3, "NonConvergenceError", id="sampling-gap"),
+]
+
+
+@pytest.mark.parametrize("command,config,flags,code,error", CONFIG_MISTAKES)
+def test_config_mistakes_exit_with_their_class(tmp_path, capsys, command, config, flags,
+                                                code, error):
+    cfg = write_config(tmp_path, "c.yaml", config)
+    got, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"), *flags)
+    assert (got, stderr_json(err)["error"]) == (code, error), err

@@ -70,6 +70,8 @@ def test_em_input_validation(ou, lin_a2):
     noise = sample_noise(g, 1, seed=0)
     with pytest.raises(InputError):
         em_step_sde(ou, np.array([0.0]), g, noise, eps=-0.1)
+    with pytest.raises(ConfigurationError):  # above ou's ceiling eps0 = 0.5
+        em_step_sde(ou, np.array([0.0]), g, noise, eps=0.9)
     with pytest.raises(InputError):
         em_step_sde(lin_a2, np.zeros(2), g, noise, 0.1)  # needs 2 modes
     off_spacing = sample_noise(from_dt(0.0, 1.0, 0.05), 1, seed=0)
@@ -124,6 +126,10 @@ def test_skeleton_control_objects_and_zero_extension(ou):
     bad_spacing = Control(from_dt(0.0, 1.0, 0.02), np.ones((50, 1)))
     with pytest.raises(InputError):
         integrate_skeleton(ou, np.array([0.0]), g, control=bad_spacing)
+    # same spacing, but 0.4 steps off the trajectory's lattice: refused, not snapped
+    off_lattice = Control(from_dt(0.504, 1.004, dt), coeffs)
+    with pytest.raises(InputError, match="lattice"):
+        integrate_skeleton(ou, np.array([0.0]), g, control=off_lattice)
 
 
 def test_stability_ceiling_enforced(burgers):

@@ -20,6 +20,7 @@ from ldpkit import (
     save_estimates,
     wilson_interval,
 )
+from ldpkit import ldpverify
 from ldpkit.ldpverify import _WINDOW, _Z95
 
 
@@ -201,6 +202,18 @@ def test_estimate_event_pipeline(ou):
     assert ests[1].hits <= ests[0].hits
     with pytest.raises(InputError):
         estimate_event(ou, "norm_ge(0.6)", eps_list=[0.3], n_samples=10)
+
+
+def test_estimate_event_checks_before_sampling(ou, monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(ldpverify, "sample_stationary", sample)
+    for event in (Event.coord_ge(1, 0.5), Event.box([0.0, 0.0], [1.0, 1.0])):
+        with pytest.raises(InputError, match="dim"):
+            estimate_event(ou, event, eps_list=[0.3], n_samples=10)
+    with pytest.raises(ConfigurationError):
+        estimate_event(ou, Event.norm_ge(0.5), eps_list=[0.3, 0.9], n_samples=10)
 
 
 def test_full_space_event_has_zero_rate(ou):
