@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NonInvertibleDiffusionError
-from .grids import TimeGrid
+from .grids import TimeGrid, uniform_spacing
 from .integrate import Path
 from .models import ModelSpec, drift, h_norm_sq
 
@@ -219,15 +219,6 @@ def load_control(filename) -> Control:
         raise InputError(f"control file {filename} has no coefficient columns")
     times = table[:, 0]
     steps = len(times)
-    if steps < 1:
-        raise InputError(f"control file {filename} is empty")
-    if steps == 1:
-        raise InputError(
-            f"control file {filename} has a single row; the step size is ambiguous"
-        )
-    dts = np.diff(times)
-    dt = float(np.mean(dts))
-    if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * max(abs(dt), 1.0):
-        raise InputError(f"control file {filename} has a non-uniform time column")
+    dt = uniform_spacing(times, f"control file {filename}")
     grid = TimeGrid(float(times[0]), float(times[0]) + steps * dt, steps)
     return Control(grid, table[:, 1:])

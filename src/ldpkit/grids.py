@@ -66,13 +66,9 @@ def from_dt(t_start: float, t_end: float, dt: float) -> TimeGrid:
     """
     if dt <= 0:
         raise InputError(f"dt must be positive, got {dt}")
-    raw = (t_end - t_start) / dt
-    steps = int(round(raw))
-    if steps < 1 or abs(raw - steps) > 1e-6 * max(1.0, raw):
-        raise InputError(
-            f"window [{t_start}, {t_end}] is not an integer number of dt={dt} steps"
-        )
-    return TimeGrid(t_start, t_end, steps)
+    steps = whole_steps((t_end - t_start) / dt,
+                        f"window [{t_start}, {t_end}] is not an integer number of dt={dt} steps")
+    return TimeGrid(t_start, t_end, steps)  # which refuses an empty or reversed window
 
 
 def same_spacing(a: TimeGrid, b: TimeGrid) -> bool:
@@ -85,6 +81,27 @@ def whole_steps(x: float, message: str) -> int:
     if abs(x - n) > _ALIGN_RTOL * max(1.0, abs(x)):
         raise InputError(message)
     return n
+
+
+def uniform_spacing(times: np.ndarray, source) -> float:
+    """Spacing of a time column read from `source`; InputError unless uniform."""
+    if len(times) < 2:
+        raise InputError(f"{source}: need at least two time points to fix the step")
+    dts = np.diff(times)
+    dt = float(np.mean(dts))
+    if dt <= 0 or np.max(np.abs(dts - dt)) > _ALIGN_RTOL * max(1.0, abs(dt)):
+        raise InputError(f"{source}: time column is not a uniform grid")
+    return dt
+
+
+def check_horizons(horizons) -> list[float]:
+    """A horizon ladder as floats: at least two, positive, strictly increasing."""
+    horizons = [float(n) for n in horizons]
+    if len(horizons) < 2:
+        raise InputError(f"need at least two horizons to measure a gap, got {horizons}")
+    if horizons[0] <= 0 or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise InputError(f"horizons must be positive and strictly increasing, got {horizons}")
+    return horizons
 
 
 def step_offset(outer: TimeGrid, inner: TimeGrid) -> int:

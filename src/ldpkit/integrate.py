@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grids import TimeGrid, same_spacing, step_offset, whole_steps
+from .grids import TimeGrid, same_spacing, step_offset, uniform_spacing, whole_steps
 from .models import ModelSpec, apply_diffusion, drift, h_norm_sq
 from .noise import NoisePath
 
@@ -76,12 +76,7 @@ def load_path(filename) -> Path:
     if table.shape[1] < 2:
         raise InputError(f"{filename}: need a time column plus state columns")
     times = table[:, 0]
-    if len(times) < 2:
-        raise InputError(f"{filename}: need at least two samples")
-    dts = np.diff(times)
-    dt = dts[0]
-    if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise InputError(f"{filename}: time column is not a uniform grid")
+    uniform_spacing(times, filename)
     grid = TimeGrid(float(times[0]), float(times[-1]), len(times) - 1)
     return Path(grid, table[:, 1:])
 

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
+from .grids import check_horizons
 from .integrate import (BLOWUP_NORM, CHECK_EVERY, blowup_sq, check_dt, check_eps,
                         em_advance, mode_drive)
 from .models import ModelSpec, h_norm
@@ -202,9 +203,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     check_dt(model, dt)
     if horizons is None:
         horizons = [10.0 / model.relax_rate, 20.0 / model.relax_rate]
-    horizons = [float(h) for h in horizons]
-    if len(horizons) < 2 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InputError(f"horizons must be at least two, increasing, got {horizons}")
+    horizons = check_horizons(horizons)
     steps_list = [max(1, math.ceil(h / dt - 1e-9)) for h in horizons]
     if any(b <= a for a, b in zip(steps_list, steps_list[1:])):
         raise InputError(f"horizons {horizons} collapse onto the same step counts at dt={dt}")
@@ -230,7 +229,9 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     return samples
 
 
-DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
+def default_eps_schedule(model: ModelSpec) -> list[float]:
+    """Noise strengths {0.8, 0.4, 0.2, 0.1} times the model's ceiling eps0."""
+    return [f * model.eps0 for f in (0.8, 0.4, 0.2, 0.1)]
 
 
 def estimate_event(model: ModelSpec, event: Event, eps_list=None,
@@ -239,7 +240,7 @@ def estimate_event(model: ModelSpec, event: Event, eps_list=None,
                    tol: float = 1e-3) -> list[MCEstimate]:
     """One MCEstimate per eps, all from independent derived seed streams."""
     if eps_list is None:
-        eps_list = list(DEFAULT_EPS_SCHEDULE)
+        eps_list = default_eps_schedule(model)
     if not isinstance(event, Event):
         raise InputError(f"event must be an Event, got {type(event).__name__}")
     # what can be checked before the first (long) sampling run

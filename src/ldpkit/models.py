@@ -48,37 +48,74 @@ class HypothesisConstants:
     d0: float       # uniform operator bound on B
 
 
+def _unit_factor(u):
+    return np.ones(np.asarray(u).shape[:-1])
+
+
+def _zero_gradient(u):
+    return np.zeros_like(np.asarray(u, dtype=np.float64))
+
+
+def _euclid_sq(u):
+    return np.sum(np.asarray(u) ** 2, axis=-1)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """One concrete model instance; built through make_model."""
+    """One concrete model instance; built through make_model.
+
+    Defaults give the common case (F = 0, g = 0, b = 1, identity modes, rest
+    state 0); `autonomous` and `unit_diffusion` are derived, never set.
+    """
 
     name: str
     dim: int
     linear: Callable            # u -> A u
-    nonlinear: Callable         # u -> F(u)
-    forcing: Callable           # t -> g(t), shape t.shape + (dim,)
-    diffusion_factor: Callable  # u -> b(u), shape u.shape[:-1]
-    grad_diffusion_factor: Callable  # u -> grad b(u), shape u.shape
     drift_jacT: Callable        # (u, t, y) -> (d drift/d u)^T y
-    mode_matrix: np.ndarray     # (dim, K), columns H-orthonormal
-    mode_weights: np.ndarray    # (K,) positive weights c_k
     constants: HypothesisConstants
-    vnorm_sq: Callable          # u -> ||u||_V^2, shape u.shape[:-1]
-    sample_state: Callable      # rng -> one state in the model's test domain
-    mass: float                 # H inner product weight
-    autonomous: bool            # g identically zero
-    unit_diffusion: bool        # b identically 1
-    zero_equilibrium: bool      # drift vanishes at 0 and 0 is the rest state
+    state_box: tuple            # (lo, hi): the test domain is [lo, hi]^dim
     relax_rate: float           # contraction scale used for horizon schedules
-    eps0: float                 # admissible noise strengths are eps <= eps0
-    default_eps: float
-    default_dt: float
-    pullback_init: np.ndarray   # start state for pullback integrations
+    nonlinear: Optional[Callable] = None  # u -> F(u); None when F = 0
+    forcing: Optional[Callable] = None    # t -> g(t), shape t.shape + (dim,); None when g = 0
+    diffusion_factor: Callable = _unit_factor        # u -> b(u), shape u.shape[:-1]
+    grad_diffusion_factor: Callable = _zero_gradient  # u -> grad b(u), shape u.shape
+    mode_matrix: Optional[np.ndarray] = None   # (dim, K), columns H-orthonormal; None is I
+    mode_weights: Optional[np.ndarray] = None  # (K,) positive weights c_k; None is all 1
+    vnorm_sq: Callable = _euclid_sq  # u -> ||u||_V^2, shape u.shape[:-1]
+    mass: float = 1.0           # H inner product weight
+    zero_equilibrium: bool = True  # drift vanishes at 0 and 0 is the rest state
+    eps0: float = 0.5           # admissible noise strengths are eps <= eps0
+    default_eps: float = 0.1
+    default_dt: float = 1e-3
+    pullback_init: Optional[np.ndarray] = None  # start state for pullback integrations; None is 0
     max_stable_dt: Optional[float] = None  # explicit-step stability ceiling, None if unconstrained
+
+    def __post_init__(self):
+        if self.mode_matrix is None:
+            object.__setattr__(self, "mode_matrix", np.eye(self.dim))
+        if self.mode_weights is None:
+            object.__setattr__(self, "mode_weights", np.ones(self.modes))
+        if self.pullback_init is None:
+            object.__setattr__(self, "pullback_init", np.zeros(self.dim))
 
     @property
     def modes(self) -> int:
         return self.mode_matrix.shape[1]
+
+    @property
+    def autonomous(self) -> bool:
+        """g identically zero."""
+        return self.forcing is None
+
+    @property
+    def unit_diffusion(self) -> bool:
+        """b identically 1: the spec keeps the default factor."""
+        return self.diffusion_factor is _unit_factor
+
+    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+        """One state drawn uniformly from the test domain [lo, hi]^dim."""
+        lo, hi = self.state_box
+        return rng.uniform(lo, hi, size=self.dim)
 
     def trace_q(self) -> float:
         """Trace of the mode covariance, sum of c_k^2."""
@@ -110,10 +147,15 @@ def _check_state(model: ModelSpec, u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _field(model: ModelSpec, u: np.ndarray) -> np.ndarray:
+    """A u + F(u); a None nonlinear term is skipped."""
+    f = model.linear(u)
+    return f if model.nonlinear is None else f + model.nonlinear(u)
+
+
 def drift(model: ModelSpec, u: np.ndarray, t) -> np.ndarray:
     """Full drift A u + F(u) + g(t); g is not evaluated for autonomous models."""
-    u = _check_state(model, u)
-    f = model.linear(u) + model.nonlinear(u)
+    f = _field(model, _check_state(model, u))
     return f if model.autonomous else f + model.forcing(t)
 
 
@@ -132,62 +174,18 @@ def apply_diffusion(model: ModelSpec, u: np.ndarray, coeffs: np.ndarray) -> np.n
 # ---------------------------------------------------------------------------
 # model factories
 
-def _zero_forcing(dim):
-    def forcing(t):
-        return np.zeros(np.shape(t) + (dim,))
-
-    return forcing
-
-
-def _const_factor(value):
-    def factor(u):
-        return np.full(np.asarray(u).shape[:-1], value)
-
-    def grad(u):
-        return np.zeros_like(np.asarray(u, dtype=np.float64))
-
-    return factor, grad
-
-
-def _box_sampler(lo, hi, dim):
-    def sample(rng):
-        return rng.uniform(lo, hi, size=dim)
-
-    return sample
-
-
 def _make_ou(a: float = 1.0) -> ModelSpec:
     """Scalar linear model dx = -a x dt + sqrt(eps) dB."""
     if a <= 0:
         raise InputError(f"ou needs a > 0, got {a}")
-    factor, grad_factor = _const_factor(1.0)
-
-    def vnorm_sq(u):
-        return np.sum(np.asarray(u) ** 2, axis=-1)
-
     return ModelSpec(
         name="ou",
         dim=1,
         linear=lambda u: -a * u,
-        nonlinear=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-        forcing=_zero_forcing(1),
-        diffusion_factor=factor,
-        grad_diffusion_factor=grad_factor,
         drift_jacT=lambda u, t, y: -a * y,
-        mode_matrix=np.eye(1),
-        mode_weights=np.ones(1),
         constants=HypothesisConstants(lam=a, c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
-        vnorm_sq=vnorm_sq,
-        sample_state=_box_sampler(-2.0, 2.0, 1),
-        mass=1.0,
-        autonomous=True,
-        unit_diffusion=True,
-        zero_equilibrium=True,
+        state_box=(-2.0, 2.0),
         relax_rate=a,
-        eps0=0.5,
-        default_eps=0.1,
-        default_dt=1e-3,
-        pullback_init=np.zeros(1),
     )
 
 
@@ -197,38 +195,18 @@ def _make_periodic1d() -> ModelSpec:
     The forcing is 1-periodic, so the pullback limit is a periodic orbit
     (deterministically) or a small fluctuation around it (under noise).
     """
-    factor, grad_factor = _const_factor(1.0)
-
-    def forcing(t):
-        return 0.3 * np.sin(2.0 * np.pi * np.asarray(t, dtype=np.float64))[..., None]
-
-    def vnorm_sq(u):
-        return np.sum(np.asarray(u) ** 2, axis=-1)
-
     return ModelSpec(
         name="periodic1d",
         dim=1,
         linear=lambda u: -5.0 * u,
-        nonlinear=np.sin,
-        forcing=forcing,
-        diffusion_factor=factor,
-        grad_diffusion_factor=grad_factor,
         drift_jacT=lambda u, t, y: (-5.0 + np.cos(u)) * y,
-        mode_matrix=np.eye(1),
-        mode_weights=np.ones(1),
         # sin is 1-Lipschitz, so the pair between -5 and sin leaves rate 4.
         constants=HypothesisConstants(lam=4.0, c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
-        vnorm_sq=vnorm_sq,
-        sample_state=_box_sampler(-2.0, 2.0, 1),
-        mass=1.0,
-        autonomous=False,
-        unit_diffusion=True,
-        zero_equilibrium=True,
+        state_box=(-2.0, 2.0),
         relax_rate=4.0,
-        eps0=0.5,
+        nonlinear=np.sin,
+        forcing=lambda t: 0.3 * np.sin(2.0 * np.pi * np.asarray(t, dtype=np.float64))[..., None],
         default_eps=0.01,
-        default_dt=1e-3,
-        pullback_init=np.zeros(1),
     )
 
 
@@ -247,34 +225,14 @@ def _make_linear2d(variant: str, lam: float = 0.3, beta: float = 2.0) -> ModelSp
         mat = np.array([[-lam, -beta], [beta, -lam]])
     else:  # pragma: no cover - registry controls the variant string
         raise InputError(f"unknown linear2d variant {variant!r}")
-    factor, grad_factor = _const_factor(1.0)
-
-    def vnorm_sq(u):
-        return np.sum(np.asarray(u) ** 2, axis=-1)
-
     return ModelSpec(
         name=f"linear2d-{variant}",
         dim=2,
         linear=lambda u: u @ mat.T,
-        nonlinear=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-        forcing=_zero_forcing(2),
-        diffusion_factor=factor,
-        grad_diffusion_factor=grad_factor,
         drift_jacT=lambda u, t, y: y @ mat,
-        mode_matrix=np.eye(2),
-        mode_weights=np.ones(2),
         constants=HypothesisConstants(lam=lam, c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
-        vnorm_sq=vnorm_sq,
-        sample_state=_box_sampler(-2.0, 2.0, 2),
-        mass=1.0,
-        autonomous=True,
-        unit_diffusion=True,
-        zero_equilibrium=True,
+        state_box=(-2.0, 2.0),
         relax_rate=lam,
-        eps0=0.5,
-        default_eps=0.1,
-        default_dt=1e-3,
-        pullback_init=np.zeros(2),
     )
 
 
@@ -290,39 +248,20 @@ def _make_hopf_radial(c: float = 1.0) -> ModelSpec:
     """
     if c <= 0:
         raise InputError(f"hopf-radial needs c > 0, got {c}")
-
-    def factor(u):
-        return np.asarray(u, dtype=np.float64)[..., 0]
-
-    def grad_factor(u):
-        return np.ones_like(np.asarray(u, dtype=np.float64))
-
-    def vnorm_sq(u):
-        return np.sum(np.asarray(u) ** 2, axis=-1)
-
     return ModelSpec(
         name="hopf-radial",
         dim=1,
         linear=lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-        nonlinear=lambda u: (1.5 - u * u) * u,
-        forcing=_zero_forcing(1),
-        diffusion_factor=factor,
-        grad_diffusion_factor=grad_factor,
         drift_jacT=lambda u, t, y: (1.5 - 3.0 * u * u) * y,
-        mode_matrix=np.eye(1),
-        mode_weights=np.array([c]),
         constants=HypothesisConstants(lam=0.4, c0=0.0, c1=1.0, beta0=c, d0=2.0 * c),
-        vnorm_sq=vnorm_sq,
-        sample_state=_box_sampler(1.4, 2.0, 1),
-        mass=1.0,
-        autonomous=True,
-        unit_diffusion=False,
-        zero_equilibrium=False,
+        state_box=(1.4, 2.0),
         # linearization rate at the attracting radius: |3/2 - 3 r*^2| = 3
         relax_rate=3.0,
-        eps0=0.5,
-        default_eps=0.1,
-        default_dt=1e-3,
+        nonlinear=lambda u: (1.5 - u * u) * u,
+        diffusion_factor=lambda u: np.asarray(u, dtype=np.float64)[..., 0],
+        grad_diffusion_factor=lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
+        mode_weights=np.array([c]),
+        zero_equilibrium=False,
         pullback_init=np.ones(1),
     )
 
@@ -388,8 +327,7 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 
         beta0 = d0
     else:
-        factor, grad_factor = _const_factor(1.0)
-        beta0 = 0.0
+        factor, grad_factor, beta0 = _unit_factor, _zero_gradient, 0.0
 
     def vnorm_sq(u):
         u = np.asarray(u, dtype=np.float64)
@@ -397,40 +335,29 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         return (inner + u[..., 0] ** 2 + u[..., -1] ** 2) / h
 
     ks = np.arange(1, kmax + 1)
-    # exactly H-orthonormal on the interior grid: h * sum_j e_k e_l = delta_kl
-    mode_matrix = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, ks))
-    mode_weights = ks.astype(np.float64) ** -2.0
     c1 = (4.0 / (h * h)) * np.sin(np.pi * h / 2.0) ** 2
-
-    def sample(rng):
-        return rng.uniform(-1.0, 1.0, size=n)
-
     return ModelSpec(
         name="burgers1d",
         dim=n,
         linear=lap,
-        nonlinear=nonlinear,
-        forcing=_zero_forcing(n),
-        diffusion_factor=factor,
-        grad_diffusion_factor=grad_factor,
         drift_jacT=jacT,
-        mode_matrix=mode_matrix,
-        mode_weights=mode_weights,
         # lam = 1/2 leaves room for the advection cross terms; c0 = 1/9 is
         # the discrete-safe interaction constant (the continuum integration
         # by parts that would give 1/16 is not exact for the split form).
         constants=HypothesisConstants(lam=0.5, c0=1.0 / 9.0, c1=c1, beta0=beta0, d0=d0),
-        vnorm_sq=vnorm_sq,
-        sample_state=sample,
-        mass=h,
-        autonomous=True,
-        unit_diffusion=diffusion == "additive",
-        zero_equilibrium=True,
+        state_box=(-1.0, 1.0),
         relax_rate=c1,
+        nonlinear=nonlinear,
+        diffusion_factor=factor,
+        grad_diffusion_factor=grad_factor,
+        # exactly H-orthonormal on the interior grid: h * sum_j e_k e_l = delta_kl
+        mode_matrix=np.sqrt(2.0) * np.sin(np.pi * np.outer(x, ks)),
+        mode_weights=ks.astype(np.float64) ** -2.0,
+        vnorm_sq=vnorm_sq,
+        mass=h,
         eps0=0.1,
         default_eps=0.05,
         default_dt=h * h / 4.0,
-        pullback_init=np.zeros(n),
         max_stable_dt=h * h / 2.0,
     )
 
@@ -532,8 +459,8 @@ def check_hypothesis(model: ModelSpec, n_samples: int = 200, seed: int = 0,
         u = model.sample_state(rng)
         v = model.sample_state(rng)
         w = u - v
-        du = model.linear(u) + model.nonlinear(u)
-        dv = model.linear(v) + model.nonlinear(v)
+        du = _field(model, u)
+        dv = _field(model, v)
         pair = max(
             pair,
             float(

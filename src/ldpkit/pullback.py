@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .grids import TimeGrid, whole_steps
+from .grids import TimeGrid, check_horizons, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
@@ -61,15 +61,8 @@ def _ladder_grids(view: TimeGrid, horizons) -> list[TimeGrid]:
     the ladder.
     """
     dt = view.dt
-    horizons = [float(n) for n in horizons]
-    if len(horizons) < 2:
-        raise InputError("need at least two horizons to measure a gap")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InputError(f"horizons must be strictly increasing, got {horizons}")
     grids = []
-    for n in horizons:
-        if n <= 0:
-            raise InputError(f"horizons must be positive, got {n}")
+    for n in check_horizons(horizons):
         if -n > view.t_start + 1e-12:
             raise InputError(
                 f"horizon {n} starts inside the view window [{view.t_start}, {view.t_end}]"

@@ -81,7 +81,7 @@ def test_exact_control_recovery_on_linear_model(ou):
 def test_defect_flags_unreachable_directions(burgers):
     # a path moving along mode 20 cannot be driven with 16 modes
     dt = burgers.default_dt
-    g = from_dt(0.0, round(200 * dt, 10), dt)
+    g = from_dt(0.0, 200 * dt, dt)
     e20 = np.sqrt(2.0) * np.sin(np.pi * 20 * (np.arange(1, 65) / 65.0))
     ramp = np.linspace(0.0, 1.0, g.steps + 1)[:, None] * e20
     rep = action(burgers, Path(g, ramp))

@@ -401,6 +401,9 @@ CONFIG_MISTAKES = [
                                               "params": {"grid": 20, "K": 4.5}},
                                   grid=SMALL_BURGERS), [], 2, "InputError",
                  id="burgers-fractional-K"),
+    # a window 4e-5 steps off the dt lattice is refused, not stretched to fit
+    pytest.param("simulate", dict(SIM, grid={"t_start": 0.0, "t_end": 0.5000004, "dt": 0.01}),
+                 [], 2, "InputError", id="grid-off-lattice"),
     # eps above the model's ceiling, as pullback already refuses it
     pytest.param("simulate", dict(SIM, eps=0.9), [], 2, "ConfigurationError",
                  id="simulate-eps-ceiling"),

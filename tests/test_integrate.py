@@ -212,7 +212,8 @@ def test_mode_drive_is_the_per_seed_product(ou, lin_a2, hopf, burgers):
 def test_unit_diffusion_step_is_the_generic_kick():
     model = make_model("burgers1d", {"diffusion": "additive"})
     assert model.unit_diffusion
-    generic = dataclasses.replace(model, unit_diffusion=False)
+    generic = dataclasses.replace(model, diffusion_factor=lambda u: np.ones(np.shape(u)[:-1]))
+    assert not generic.unit_diffusion
     dt = model.default_dt
     inc = gaussian_block(np.arange(1, 4, dtype=np.uint64), -300, 300, model.modes, dt)
     drive = mode_drive(model, 0.05, inc)

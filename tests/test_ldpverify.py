@@ -162,6 +162,12 @@ def test_sampling_validation(ou, burgers):
         sample_stationary(ou, 0.1, 4, seed=0, horizons=[5.0, 5.0])
 
 
+def test_negative_horizon_is_a_config_mistake(ou):
+    # refused before sampling, not reported as a pullback gap
+    with pytest.raises(InputError, match="positive"):
+        sample_stationary(ou, 0.1, 10, 0, horizons=[-1.0, 20.0])
+
+
 def test_sampling_reports_divergence(ou):
     # at dt = 2.5 an EM step maps x to -1.5 x + noise; horizons of 40 and 80
     # steps are checked only after the last step (j = -1), 79 steps after
@@ -214,6 +220,17 @@ def test_estimate_event_checks_before_sampling(ou, monkeypatch):
             estimate_event(ou, event, eps_list=[0.3], n_samples=10)
     with pytest.raises(ConfigurationError):
         estimate_event(ou, Event.norm_ge(0.5), eps_list=[0.3, 0.9], n_samples=10)
+
+
+def test_default_eps_schedule_scales_with_the_ceiling(ou, burgers, monkeypatch):
+    assert ldpverify.default_eps_schedule(ou) == [0.4, 0.2, 0.1, 0.05]
+    schedule = ldpverify.default_eps_schedule(burgers)
+    assert len(schedule) == 4 and all(eps <= burgers.eps0 for eps in schedule)
+    # so estimate_event without eps_list passes check_eps on burgers1d
+    monkeypatch.setattr(ldpverify, "sample_stationary",
+                        lambda model, eps, n, *args, **kwargs: np.zeros((n, model.dim)))
+    ests = estimate_event(burgers, Event.norm_ge(0.5), n_samples=10)
+    assert [e.eps for e in ests] == schedule
 
 
 def test_full_space_event_has_zero_rate(ou):

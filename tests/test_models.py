@@ -3,12 +3,22 @@ import pytest
 
 from ldpkit import (
     InputError,
+    TimeGrid,
+    ToolkitError,
+    action,
     check_hypothesis,
+    em_step_sde,
     h_inner,
     h_norm_sq,
+    integrate_skeleton,
     make_model,
+    minimize_action,
     model_names,
+    pullback_stationary,
+    sample_noise,
+    sample_stationary,
 )
+from ldpkit.cli import _NUMERICAL_ERRORS
 from ldpkit.models import apply_diffusion, drift
 
 
@@ -124,9 +134,12 @@ def test_periodic_forcing_period_one(periodic):
 
 
 def test_autonomous_models_have_zero_forcing(all_models):
+    rng = np.random.default_rng(4)
     for model in all_models:
         if model.autonomous:
-            assert np.allclose(model.forcing(1.7), np.zeros(model.dim))
+            assert model.forcing is None
+            u = np.stack([model.sample_state(rng) for _ in range(3)])
+            assert np.array_equal(drift(model, u, 1.7), drift(model, u, -0.3)), model.name
 
 
 def test_unit_diffusion_flag_matches_the_factor(all_models):
@@ -206,3 +219,43 @@ def test_check_hypothesis_is_deterministic(ou):
     a = check_hypothesis(ou, n_samples=50, seed=3)
     b = check_hypothesis(ou, n_samples=50, seed=3)
     assert a == b
+
+
+# the six catalogue models plus additive burgers1d
+CATALOGUE = [("ou", {}), ("periodic1d", {}), ("linear2d-a1", {}), ("linear2d-a2", {}),
+             ("hopf-radial", {}), ("burgers1d", {}), ("burgers1d", {"diffusion": "additive"})]
+
+
+@pytest.mark.parametrize("name,params", CATALOGUE,
+                         ids=["-".join([n, *p.values()]) for n, p in CATALOGUE])
+def test_every_entry_point_runs_or_refuses_the_model(name, params):
+    model = make_model(name, params)
+    dt = model.default_dt
+    rng = np.random.default_rng(2)
+    x0 = model.sample_state(rng)
+    grid = TimeGrid(0.0, 20 * dt, 20)
+    view = TimeGrid(-10 * dt, 0.0, 10)
+    horizons = [20 * dt, 40 * dt]
+    eps = model.default_eps
+    calls = {
+        "em_step_sde": lambda: em_step_sde(model, x0, grid,
+                                           sample_noise(grid, model.modes, 1), eps),
+        "integrate_skeleton": lambda: integrate_skeleton(model, x0, grid),
+        "pullback_stationary": lambda: pullback_stationary(model, eps, 1, view,
+                                                           horizons=horizons, tol=1.0),
+        "sample_stationary": lambda: sample_stationary(model, eps, 3, 1,
+                                                       horizons=horizons, tol=1.0),
+        "action": lambda: action(model, integrate_skeleton(model, x0, grid)),
+        "minimize_action": lambda: minimize_action(model, 0.3 * model.mode_matrix[:, 0],
+                                                   20 * dt, 20),
+    }
+    refused = set()
+    for entry, call in calls.items():
+        try:
+            call()
+        except ToolkitError as err:
+            # a refusal is a validation error (exit 2), never a numerical one
+            assert not isinstance(err, _NUMERICAL_ERRORS), (entry, err)
+            refused.add(entry)
+    # transition costs from rest need an autonomous model with rest state 0
+    assert refused == ({"minimize_action"} if name in ("periodic1d", "hopf-radial") else set())
