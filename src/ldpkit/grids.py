@@ -8,6 +8,7 @@ steps left endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +95,20 @@ def uniform_spacing(times: np.ndarray, source) -> float:
     return dt
 
 
-def check_horizons(horizons) -> list[float]:
-    """A horizon ladder as floats: at least two, positive, strictly increasing."""
+def ladder_steps(horizons, dt: float, start: float = 0.0, least: int = 0) -> list[int]:
+    """Whole dt steps (at least `least`) covering start + n per horizon n, snapped outward;
+    InputError unless 2+ horizons are positive, increasing, -n <= start, and stay distinct."""
     horizons = [float(n) for n in horizons]
     if len(horizons) < 2:
         raise InputError(f"need at least two horizons to measure a gap, got {horizons}")
     if horizons[0] <= 0 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InputError(f"horizons must be positive and strictly increasing, got {horizons}")
-    return horizons
+    if -horizons[0] > start + 1e-12:
+        raise InputError(f"horizon {horizons[0]} starts inside the window from t = {start}")
+    steps = [max(least, math.ceil((start + n) / dt - 1e-9)) for n in horizons]
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise InputError(f"horizons {horizons} collapse onto the same step counts at dt={dt}")
+    return steps
 
 
 def step_offset(outer: TimeGrid, inner: TimeGrid) -> int:

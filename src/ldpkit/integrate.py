@@ -7,6 +7,9 @@ controlled (skeleton) equation.
 
 f is the full drift A u + F(u) + g(t).  The skeleton scheme is the one
 the action discretization (midpoint inversion) is consistent with.
+
+Both run on one engine: a drive built once by mode_drive, a kernel (em_advance,
+heun_advance) with one kick rule b(x) d, and one loop scanning for divergence.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
 from .grids import TimeGrid, same_spacing, step_offset, uniform_spacing, whole_steps
-from .models import ModelSpec, apply_diffusion, drift, h_norm_sq
+from .models import ModelSpec, drift, h_norm_sq
 from .noise import NoisePath
 
 # Trajectories whose H-norm passes this are declared divergent; EM
@@ -133,24 +136,69 @@ def blowup_sq(model: ModelSpec, states: np.ndarray) -> np.ndarray:
         return np.nan_to_num(h_norm_sq(model, states), nan=np.inf, posinf=np.inf)
 
 
+def worst_blowup(model: ModelSpec, states: np.ndarray):
+    """Row of the largest H-norm among `states` if it is divergent, else None."""
+    sq = blowup_sq(model, states)
+    bad = int(np.argmax(sq))
+    return bad if sq[bad] > BLOWUP_NORM**2 else None
+
+
+def _kick(model: ModelSpec, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """b(x) d for each block of len(d) rows of x; with b = 1 the kick 1.0 * d is d itself."""
+    return d if model.unit_diffusion else model.diffusion_factor(x).reshape(-1, len(d), 1) * d
+
+
 def em_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
                drive: np.ndarray, path=None) -> None:
-    """Step the C-contiguous state x in place: x + dt f(x, t) + b(x) drive, once per time.
+    """Step the C-contiguous state x in place: x + dt f(x, t) + b(x) drive, once per drive step.
 
     x is (blocks * n, dim), or (dim,) for n = 1; its blocks of n rows share
-    drive, (len(times), n, dim).  path[i], if given, gets the state after step i.
-    With b = 1 the kick 1.0 * drive[i] is drive[i] itself.
+    drive, (steps, n, dim).  times[i] is step i's start time (times may
+    carry one more, the end time).  path[i], if given, gets the state after step i.
     """
     blocks = x.reshape(-1, *drive.shape[1:])  # a view of x
-    shape = (-1, drive.shape[1], 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            kick = drive[i] if model.unit_diffusion else (
-                model.diffusion_factor(x).reshape(shape) * drive[i])
-            x += dt * drift(model, x, t)
+        for i, d in enumerate(drive):
+            kick = _kick(model, x, d)
+            x += dt * drift(model, x, times[i])
             blocks += kick
             if path is not None:
                 path[i] = x
+
+
+def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
+                 drive: np.ndarray, path=None) -> None:
+    """em_advance's Heun twin on f(x, t) + b(x) drive; times[i + 1] ends step i."""
+    shape = (-1, *drive.shape[1:])
+
+    def slope(u, t, d):
+        return (drift(model, u, t).reshape(shape) + _kick(model, u, d)).reshape(u.shape)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, d in enumerate(drive):
+            k1 = slope(x, times[i], d)
+            k2 = slope(x + dt * k1, times[i + 1], d)
+            x += 0.5 * dt * (k1 + k2)
+            if path is not None:
+                path[i] = x
+
+
+def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
+                  drive: np.ndarray, what: str) -> Path:
+    """Path of x0 stepped by `advance` over `grid`, scanned for divergence per CHECK_EVERY steps."""
+    x = x0.copy()  # stepped in place
+    times = grid.times()
+    out = np.empty((grid.steps + 1, model.dim))
+    out[0] = x
+    for i in range(0, grid.steps, CHECK_EVERY):
+        j = min(i + CHECK_EVERY, grid.steps)
+        advance(model, x, times[i : j + 1], grid.dt, drive[i:j], out[i + 1 : j + 1])
+        bad = np.flatnonzero(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
+        if bad.size:
+            step = i + 1 + int(bad[0])
+            raise DivergenceError(f"{what} of '{model.name}' diverged at step {step} "
+                                  f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
+    return Path(grid, out)
 
 
 def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
@@ -160,7 +208,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
     The noise record must cover the grid with the same spacing; its
     increments are consumed mode-wise through the model's diffusion.
     """
-    x = _check_x0(model, x0).copy()  # stepped in place
+    x0 = _check_x0(model, x0)
     check_dt(model, grid.dt)
     check_eps(model, eps)
     if noise.modes != model.modes:
@@ -168,18 +216,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
     drive = mode_drive(model, eps, noise.restrict(grid).increments[None])
-    times = grid.times()
-    out = np.empty((grid.steps + 1, model.dim))
-    out[0] = x
-    for i in range(0, grid.steps, CHECK_EVERY):
-        j = min(i + CHECK_EVERY, grid.steps)
-        em_advance(model, x, times[i:j], grid.dt, drive[i:j], out[i + 1 : j + 1])
-        bad = np.flatnonzero(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
-        if bad.size:
-            step = i + 1 + int(bad[0])
-            raise DivergenceError(f"trajectory of '{model.name}' diverged at step {step} "
-                                  f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
-    return Path(grid, out)
+    return _checked_path(model, em_advance, x0, grid, drive, "trajectory")
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
@@ -221,26 +258,9 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
 
 def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Path:
     """Heun (explicit trapezoidal) trajectory of the controlled equation."""
-    x = _check_x0(model, x0)
+    x0 = _check_x0(model, x0)
     check_dt(model, grid.dt)
     table = _control_table(model, grid, control)
-    dt = grid.dt
-    times = grid.times()
-    out = np.empty((grid.steps + 1, model.dim))
-    out[0] = x
-    limit = BLOWUP_NORM**2
-    for i in range(grid.steps):
-        v = table[i]
-        k1 = drift(model, x, times[i]) + apply_diffusion(model, x, v)
-        pred = x + dt * k1
-        k2 = drift(model, pred, times[i + 1]) + apply_diffusion(model, pred, v)
-        x = x + 0.5 * dt * (k1 + k2)
-        if not np.all(np.isfinite(x)) or h_norm_sq(model, x) > limit:
-            raise DivergenceError(
-                f"skeleton trajectory of '{model.name}' diverged at step {i + 1} "
-                f"(t = {times[i + 1]:.6g})",
-                step=i + 1,
-                time=float(times[i + 1]),
-            )
-        out[i + 1] = x
-    return Path(grid, out)
+    # each step is a one-step block of its own: one gemm over all steps rounds differently
+    drive = mode_drive(model, 1.0, table[:, None, :]).transpose(1, 0, 2)
+    return _checked_path(model, heun_advance, x0, grid, drive, "skeleton trajectory")

@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .grids import check_horizons
-from .integrate import (BLOWUP_NORM, CHECK_EVERY, blowup_sq, check_dt, check_eps,
-                        em_advance, mode_drive)
+from .grids import ladder_steps
+from .integrate import CHECK_EVERY, check_dt, check_eps, em_advance, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_block
 
@@ -175,9 +174,8 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
             em_advance(model, x[:rows], np.arange(j0, j1) * dt, dt,
                        drive[j0 - w0 : j1 - w0])
             if j1 in checks or j1 == 0:
-                sq = blowup_sq(model, x[:n])
-                if np.max(sq) > BLOWUP_NORM**2:
-                    bad = int(np.argmax(sq))
+                bad = worst_blowup(model, x[:n])
+                if bad is not None:
                     t = (j1 - 1) * dt
                     raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
                                           f"t = {t:.6g}; smaller dt or eps needed",
@@ -203,10 +201,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     check_dt(model, dt)
     if horizons is None:
         horizons = [10.0 / model.relax_rate, 20.0 / model.relax_rate]
-    horizons = check_horizons(horizons)
-    steps_list = [max(1, math.ceil(h / dt - 1e-9)) for h in horizons]
-    if any(b <= a for a, b in zip(steps_list, steps_list[1:])):
-        raise InputError(f"horizons {horizons} collapse onto the same step counts at dt={dt}")
+    steps_list = ladder_steps(horizons, dt, least=1)
 
     seeds = derive_seeds_from(seed, 0, n_samples)
     per_sample = min(_WINDOW, steps_list[-1]) * max(model.modes, model.dim)

@@ -159,18 +159,6 @@ def drift(model: ModelSpec, u: np.ndarray, t) -> np.ndarray:
     return f if model.autonomous else f + model.forcing(t)
 
 
-def apply_diffusion(model: ModelSpec, u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """B(u) applied to the mode-coefficient vector h: b(u) * sum_k h_k c_k e_k."""
-    u = _check_state(model, u)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape[-1:] != (model.modes,):
-        raise InputError(
-            f"'{model.name}' carries {model.modes} noise modes, got coefficient shape {coeffs.shape}"
-        )
-    drive = (coeffs * model.mode_weights) @ model.mode_matrix.T
-    return model.diffusion_factor(u)[..., None] * drive
-
-
 # ---------------------------------------------------------------------------
 # model factories
 

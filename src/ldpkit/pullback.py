@@ -15,14 +15,13 @@ periodically forced scalar model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .grids import TimeGrid, check_horizons, whole_steps
+from .grids import TimeGrid, ladder_steps, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
@@ -61,17 +60,8 @@ def _ladder_grids(view: TimeGrid, horizons) -> list[TimeGrid]:
     the ladder.
     """
     dt = view.dt
-    grids = []
-    for n in check_horizons(horizons):
-        if -n > view.t_start + 1e-12:
-            raise InputError(
-                f"horizon {n} starts inside the view window [{view.t_start}, {view.t_end}]"
-            )
-        before = max(0, math.ceil((view.t_start + n) / dt - 1e-9))
-        grids.append(
-            TimeGrid(view.t_start - before * dt, view.t_end, before + view.steps)
-        )
-    return grids
+    return [TimeGrid(view.t_start - before * dt, view.t_end, before + view.steps)
+            for before in ladder_steps(horizons, dt, start=view.t_start)]
 
 
 def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
@@ -79,7 +69,6 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
     """Integrate the ladder, measure view-window sup gaps, fit the decay rate."""
     gaps = []
     prev = None
-    last = None
     for grid in grids:
         restricted = integrate(grid).restrict(view)
         if prev is not None:
@@ -92,7 +81,6 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
                     seed=seed,
                 )
         prev = restricted
-        last = restricted
     horizons = [-g.t_start for g in grids]
     positive = [(horizons[i], g) for i, g in enumerate(gaps) if g > 0.0]
     if len(positive) >= 2:
@@ -104,7 +92,7 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
     converged = bool(gaps and gaps[-1] < tol)
     diag = PullbackDiag(horizons=horizons, gaps=gaps, fitted_rate=rate,
                         converged=converged)
-    return last, diag
+    return prev, diag
 
 
 def _em_rungs(model: ModelSpec, noise, eps: float) -> Callable[[TimeGrid], Path]:

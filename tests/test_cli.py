@@ -384,6 +384,9 @@ CONFIG_MISTAKES = [
     pytest.param("simulate", dict(SIM, model={"name": "ou", "params": []}), [], 2,
                  "InputError", id="params-list"),
     pytest.param("simulate", dict(SIM, outputs=0), [], 2, "InputError", id="outputs-zero"),
+    # two horizons that snap outward onto one grid are refused, not scored gap 0
+    pytest.param("pullback", dict(ECHO_CASES["pullback"], horizons=[5.001, 5.002]), [], 2,
+                 "InputError", id="pullback-collapsing-ladder"),
     # forward skeleton takes no ladder keys
     pytest.param("skeleton", dict(FORWARD, horizons=[2.0, 4.0]), [], 2, "InputError",
                  id="forward-horizons"),

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ldpkit import (
     ConfigurationError,
@@ -229,3 +230,82 @@ def test_unit_diffusion_step_is_the_generic_kick():
     noise = sample_noise(grid, model.modes, seed=4)
     paths = [em_step_sde(m, start[0], grid, noise, 0.05).states for m in (model, generic)]
     assert np.array_equal(paths[0], paths[1])
+
+
+def test_mode_drive_spans_modes(lin_a2, burgers):
+    # identity modes pass the coefficients through
+    drive = mode_drive(lin_a2, 1.0, np.array([[[1.0, -2.0]]]))
+    assert np.array_equal(drive, [[[1.0, -2.0]]])
+    # burgers1d mode k enters scaled by its weight k^-2
+    coeffs = np.zeros((1, 1, burgers.modes))
+    coeffs[..., 2] = 1.0
+    assert np.allclose(mode_drive(burgers, 1.0, coeffs)[0, 0], burgers.mode_matrix[:, 2] / 9.0)
+    # a control with the wrong mode count is refused before any step
+    g = from_dt(0.0, 0.1, 0.01)
+    with pytest.raises(InputError):
+        integrate_skeleton(lin_a2, np.zeros(2), g, control=np.ones((g.steps, 1)))
+    with pytest.raises(InputError):
+        integrate_skeleton(lin_a2, np.zeros(2), g, control=Control(g, np.ones((g.steps, 1))))
+
+
+def _heun_replay(model, x, grid, table):
+    """Heun one step at a time, k = f + b(.) ((v c) M^T) with a fresh product per step."""
+    times = grid.times()
+    out = [x]
+    for i in range(grid.steps):
+        push = (table[i] * model.mode_weights) @ model.mode_matrix.T
+        k1 = drift(model, x, times[i]) + model.diffusion_factor(x) * push
+        pred = x + grid.dt * k1
+        k2 = drift(model, pred, times[i + 1]) + model.diffusion_factor(pred) * push
+        x = x + 0.5 * grid.dt * (k1 + k2)
+        out.append(x)
+    return np.array(out)
+
+
+SKELETON_MODELS = [
+    *(pytest.param((name, None), id=name)
+      for name in ("ou", "periodic1d", "linear2d-a1", "linear2d-a2", "hopf-radial")),
+    pytest.param(("burgers1d", {"grid": 19, "K": 8}), id="burgers1d-small"),
+]
+
+
+@pytest.mark.parametrize("spec", SKELETON_MODELS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(steps=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+@example(steps=256, seed=1)
+@example(steps=257, seed=2)
+def test_skeleton_is_the_per_step_heun_recursion(spec, steps, seed):
+    # a step-by-step product, bit for bit: one gemm over all steps rounds
+    # differently on the non-identity, multiplicative small burgers1d
+    model = make_model(*spec)
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, steps * model.default_dt, steps)
+    x0 = 0.5 * model.sample_state(rng)
+    table = rng.normal(size=(steps, model.modes))
+    path = integrate_skeleton(model, x0, grid, control=table)
+    assert np.array_equal(path.states, _heun_replay(model, x0, grid, table))
+
+
+def test_skeleton_divergence_reported(ou):
+    # at dt = 2.05 a Heun step maps x to 1.05125 x: the blow-up comes after
+    # the first 256-step block of checks
+    g = TimeGrid(0.0, 2.05 * 600, 600)
+    with pytest.raises(DivergenceError) as exc:
+        integrate_skeleton(ou, np.array([1.0]), g)
+    states = _heun_replay(ou, np.array([1.0]), g, np.zeros((g.steps, 1)))
+    step = int(np.argmax(h_norm_sq(ou, states) > BLOWUP_NORM**2))
+    assert step == 277
+    assert exc.value.step == step
+    assert exc.value.time == g.times()[step] == pytest.approx(567.85)
+
+
+def test_steppers_leave_x0_alone(lin_a2, burgers):
+    # both steppers advance their state in place, on a copy of x0
+    for model in (lin_a2, burgers):
+        g = TimeGrid(0.0, 50 * model.default_dt, 50)
+        x0 = 0.1 * np.sin(np.arange(1.0, model.dim + 1))
+        keep = x0.copy()
+        a = em_step_sde(model, x0, g, sample_noise(g, model.modes, seed=1), 0.05)
+        b = integrate_skeleton(model, x0, g, control=np.ones((g.steps, model.modes)))
+        assert np.array_equal(x0, keep), model.name
+        assert np.array_equal(a.states[0], keep) and np.array_equal(b.states[0], keep)

@@ -19,7 +19,7 @@ from ldpkit import (
     sample_stationary,
 )
 from ldpkit.cli import _NUMERICAL_ERRORS
-from ldpkit.models import apply_diffusion, drift
+from ldpkit.models import drift
 
 
 def test_catalogue_names():
@@ -108,22 +108,6 @@ def test_vnorm_dominates_hnorm(all_models):
                 model.vnorm_sq(u)
                 >= model.constants.c1 * h_norm_sq(model, u) - 1e-9
             ), model.name
-
-
-def test_apply_diffusion_spans_modes(lin_a2, burgers):
-    u = np.zeros(2)
-    out = apply_diffusion(lin_a2, u, np.array([1.0, -2.0]))
-    assert np.allclose(out, [1.0, -2.0])
-    with pytest.raises(InputError):
-        apply_diffusion(lin_a2, u, np.array([1.0]))
-    # mode k enters scaled by weight k^-2
-    coeffs = np.zeros(16)
-    coeffs[2] = 1.0
-    out = apply_diffusion(burgers, np.zeros(64), coeffs)
-    expected = burgers.diffusion_factor(np.zeros(64)) * (
-        burgers.mode_matrix[:, 2] / 9.0
-    )
-    assert np.allclose(out, expected)
 
 
 def test_periodic_forcing_period_one(periodic):

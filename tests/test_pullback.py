@@ -55,6 +55,8 @@ def test_ladder_grids_validation():
         _ladder_grids(view, [-1.0, 2.0])
     with pytest.raises(InputError):
         _ladder_grids(view, [0.5, 2.0])  # starts inside the view
+    with pytest.raises(InputError, match="collapse"):
+        _ladder_grids(view, [5.001, 5.002])  # both snap outward to 5.01
 
 
 def test_gap_matches_hand_integration(ou):
