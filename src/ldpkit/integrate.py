@@ -114,16 +114,21 @@ def check_dt(model: ModelSpec, dt: float) -> None:
         )
 
 
-def mode_drive(model: ModelSpec, eps: float, inc: np.ndarray) -> np.ndarray:
+def mode_drive(model: ModelSpec, eps: float, inc: np.ndarray, *,
+               _overwrite: bool = False) -> np.ndarray:
     """Drive sqrt(eps) * sum_k dW_k c_k e_k of increments (n, steps, K), as (steps, n, dim).
 
     inc is read step-major, as gaussian_block lays it out (else copied once).
-    An identity mode matrix's product, a*1 + b*0 = a, is exact and skipped.
+    Unit weights (x*1 = x) and an identity mode matrix's product (a*1 + b*0 = a)
+    are exact and skipped.  _overwrite scales inc itself, for a block no one
+    else holds; caller memory (noise records, control tables) is never written.
     """
     n, steps, k = inc.shape
-    drive = inc.transpose(1, 0, 2).reshape(steps, n * k) * np.tile(model.mode_weights, n)
-    drive *= np.sqrt(eps)
-    drive = drive.reshape(steps, n, k)
+    drive = inc.transpose(1, 0, 2).reshape(steps, n * k)
+    out = drive if _overwrite else None
+    if np.any(model.mode_weights != 1.0):
+        drive = out = np.multiply(drive, np.tile(model.mode_weights, n), out=out)
+    drive = np.multiply(drive, np.sqrt(eps), out=out).reshape(steps, n, k)
     if k == model.dim and np.array_equal(model.mode_matrix, np.eye(k)):
         return drive
     # a product per seed: one gemm over steps * n rows (or gemv for one step) rounds differently

@@ -164,7 +164,8 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
     for w0 in range(starts[0], 0, _WINDOW):
         w1 = min(w0 + _WINDOW, 0)
-        drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt))
+        drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt),
+                           _overwrite=True)  # the block is this loop's own
         # segments end where a block joins and after each step j with
         # j % CHECK_EVERY == 0, where the longest horizon is checked
         checks = range(w0 + (-w0) % CHECK_EVERY + 1, w1 + 1, CHECK_EVERY)

@@ -209,14 +209,18 @@ def _make_linear2d(variant: str, lam: float = 0.3, beta: float = 2.0) -> ModelSp
         raise InputError(f"linear2d needs lambda > 0, got {lam}")
     if variant == "a1":
         mat = -lam * np.eye(2)
+        # u0*(-lam) + u1*0 is -lam*u0 exactly: the elementwise form skips the gemm
+        linear = lambda u: -lam * u
     elif variant == "a2":
         mat = np.array([[-lam, -beta], [beta, -lam]])
+        # an elementwise form of the rotation rounds differently from the gemm
+        linear = lambda u: u @ mat.T
     else:  # pragma: no cover - registry controls the variant string
         raise InputError(f"unknown linear2d variant {variant!r}")
     return ModelSpec(
         name=f"linear2d-{variant}",
         dim=2,
-        linear=lambda u: u @ mat.T,
+        linear=linear,
         drift_jacT=lambda u, t, y: y @ mat,
         constants=HypothesisConstants(lam=lam, c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
         state_box=(-2.0, 2.0),

@@ -10,10 +10,17 @@ the same realization from successively earlier start times.
 
 Step indices are absolute, anchored at t = 0 (index floor is round(t/dt)),
 and may be negative; a zigzag bijection folds them into the counter.
+
+Large blocks are filled in tiles of a few steps, split into one contiguous
+range of tiles per CPU this process may run on.  Each word depends on its
+counter alone and each tile writes its own rows, so the split cannot change
+a value.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,11 +38,20 @@ _SALT_DERIVE = np.uint64(0x452821E638D01377)
 
 _U64_MAX = (1 << 64) - 1
 _TILE_WORDS = 1 << 14
+# the CPUs this process may run on; gaussian_block uses one range of tiles each
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = (None, None)  # (pid, ThreadPoolExecutor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _as_int(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_u64(seed: int) -> np.uint64:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InputError(f"seed must be an integer, got {seed!r}")
+    seed = _as_int("seed", seed)
     if seed < 0 or seed > _U64_MAX:
         raise InputError(f"seed must fit in 64 unsigned bits, got {seed}")
     return np.uint64(seed)
@@ -87,6 +103,28 @@ def _zigzag(steps: np.ndarray) -> np.ndarray:
     return np.where(steps >= 0, 2 * steps, -2 * steps - 1).astype(np.uint64)
 
 
+def _executor():
+    """The shared tile pool; a forked child makes its own, as the parent's threads are gone."""
+    global _pool
+    with _pool_lock:
+        if _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(max(1, _WORKERS - 1), "ldpkit-noise"))
+        return _pool[1]
+
+
+def _fill(out, step_part, base, scale, lo: int, hi: int, rows: int) -> None:
+    """Steps [lo, hi) of out, `rows` steps per tile so that the passes run in cache."""
+    for r in range(lo, hi, rows):
+        x = _mix64(step_part[r : r + rows] + base)
+        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
+        u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=out[r : r + rows])
+        u *= 2.0**-53
+        ndtri(u, out=u)
+        u *= scale
+
+
 def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) -> np.ndarray:
     """N(0, dt) increments for absolute steps [first_step, first_step+steps).
 
@@ -94,24 +132,32 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) ->
     independent stream, each (step, mode) cell a fixed counter word.  It is
     the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
     """
+    first_step = _as_int("first step", first_step)
+    steps = _as_int("step count", steps)
+    modes = _as_int("mode count", modes)
     if modes < 1:
         raise InputError(f"mode count must be positive, got {modes}")
     if steps < 0:
         raise InputError("step count must be non-negative")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InputError(f"dt must be positive and finite, got {dt}")
     states = _stream_states(seeds)
     # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
     base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()
     step_part = (_zigzag(first_step + np.arange(steps)) * np.uint64(modes) * _GOLDEN)[:, None]
     out = np.empty((steps, base.size))
-    # a few steps at a time, so that the passes below run in cache
+    scale = np.sqrt(dt)
     rows = max(1, _TILE_WORDS // max(1, base.size))
-    for r in range(0, steps, rows):
-        x = _mix64(step_part[r : r + rows] + base)
-        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
-        u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=out[r : r + rows])
-        u *= 2.0**-53
-        ndtri(u, out=u)
-        u *= np.sqrt(dt)
+    tiles = -(-steps // rows)
+    parts = max(1, min(_WORKERS, tiles))
+    # part j takes tiles [j*tiles//parts, (j+1)*tiles//parts); this thread fills part 0
+    edges = [min(steps, j * tiles // parts * rows) for j in range(parts + 1)]
+    pool = _executor() if parts > 1 else None
+    later = [pool.submit(_fill, out, step_part, base, scale, lo, hi, rows)
+             for lo, hi in zip(edges[1:-1], edges[2:])]
+    _fill(out, step_part, base, scale, edges[0], edges[1], rows)
+    for f in later:
+        f.result()
     return out.reshape(steps, len(states), modes).transpose(1, 0, 2)
 
 

@@ -22,6 +22,7 @@ from ldpkit import (
     sample_noise,
     save_path,
 )
+import ldpkit.pullback
 from ldpkit.integrate import BLOWUP_NORM, em_advance, mode_drive
 from ldpkit.noise import gaussian_block
 
@@ -309,3 +310,33 @@ def test_steppers_leave_x0_alone(lin_a2, burgers):
         b = integrate_skeleton(model, x0, g, control=np.ones((g.steps, model.modes)))
         assert np.array_equal(x0, keep), model.name
         assert np.array_equal(a.states[0], keep) and np.array_equal(b.states[0], keep)
+
+
+def test_caller_memory_is_never_scaled(monkeypatch, all_models):
+    # only the batched sampler's own noise block is scaled in place
+    for model in all_models:
+        dt = model.default_dt
+        g = TimeGrid(-40 * dt, 0.0, 40)
+        noise = sample_noise(g, model.modes, seed=2)
+        keep = noise.increments.tobytes()
+        em_step_sde(model, model.pullback_init, g, noise, 0.05)
+        assert noise.increments.tobytes() == keep, model.name
+        table = np.linspace(-1.0, 1.0, g.steps * model.modes).reshape(g.steps, model.modes)
+        keep = table.tobytes()
+        integrate_skeleton(model, model.pullback_init, g, control=table)
+        assert table.tobytes() == keep, model.name
+
+    sampled = []
+
+    def recording(grid, modes, seed):
+        rec = sample_noise(grid, modes, seed)
+        sampled.append((rec, rec.increments.tobytes()))
+        return rec
+
+    monkeypatch.setattr(ldpkit.pullback, "sample_noise", recording)
+    for model in all_models:
+        dt = model.default_dt
+        pullback_stationary(model, 0.05, 3, TimeGrid(-10 * dt, 0.0, 10),
+                            horizons=[100 * dt, 200 * dt, 300 * dt], tol=1.0)
+        rec, keep = sampled.pop()
+        assert rec.increments.tobytes() == keep, model.name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldpkit import (
     InputError,
@@ -79,6 +80,31 @@ def test_drift_broadcasts(all_models):
         assert out.shape == (5, model.dim)
         single = drift(model, batch[2], 0.25)
         assert np.allclose(single, out[2])
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-300, 1e300),
+                   st.floats(-1e300, -1e-300))
+_ROWS = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_ROWS, lam=st.floats(1e-3, 1e3))
+def test_planar_linear_parts_equal_their_matrix_products(u, lam):
+    # a1 is written -lam*u: u0*(-lam) + u1*0 is the same number (== compares
+    # signed zeros equal, and x + dt*(+-0) is the same x); a2 keeps the gemm,
+    # as an elementwise rotation rounds differently
+    a1 = make_model("linear2d-a1", {"lambda": lam})
+    assert np.array_equal(drift(a1, u, 0.0), u @ (-lam * np.eye(2)).T)
+    a2 = make_model("linear2d-a2")
+    assert np.array_equal(drift(a2, u, 0.0), u @ np.array([[-0.3, -2.0], [2.0, -0.3]]).T)
+
+
+def test_a2_linear_part_is_the_gemm(lin_a2):
+    # rows of like magnitude, where an elementwise rotation rounds differently
+    u = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4096, 2))
+    mat = np.array([[-0.3, -2.0], [2.0, -0.3]])
+    assert np.array_equal(drift(lin_a2, u, 0.0), u @ mat.T)
+    assert not np.array_equal(drift(lin_a2, u, 0.0), u[:, :1] * mat[:, 0] + u[:, 1:] * mat[:, 1])
 
 
 def test_drift_shape_validation(ou):

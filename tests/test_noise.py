@@ -1,4 +1,8 @@
+import concurrent.futures
 import hashlib
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from ldpkit import (
     save_noise,
     shift_noise,
 )
+from ldpkit import noise
 from ldpkit.noise import derive_seeds_from, gaussian_block
 
 
@@ -170,6 +175,91 @@ def test_gaussian_block_frozen_values():
     # contract; changing these bytes needs a stream-version bump
     block = gaussian_block([1, 2, 3], -50, 20, 4, 0.01)
     assert sha256(block) == "dbe5b450d624d1d157f93caec480bac4ec642937b8b6b4a96c19e62068bf487a"
+
+
+def test_gaussian_block_split_goldens():
+    # blocks of many tiles, which are filled in one range of tiles per CPU:
+    # 21 tiles of 2 steps, and 5 tiles of 1 step (18000 words per step)
+    block = gaussian_block(derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)
+    assert sha256(block) == "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"
+    block = gaussian_block(derive_seeds_from(4, 0, 9000), -3, 5, 2, 0.01)
+    assert sha256(block) == "cfb60f2e3216287a8d4db0dae96d87bbc0e6df9767d8900d1992dbcc81d3c890"
+
+
+@pytest.mark.parametrize("seeds, first, steps, modes", [
+    (derive_seeds_from(3, 0, 2000), -700, 41, 3),  # 21 tiles: uneven over 2 and 3 parts
+    (derive_seeds_from(4, 0, 9000), -3, 5, 2),     # 5 tiles of one step
+    (derive_seeds_from(5, 0, 3000), 0, 0, 2),      # no steps
+    ([1, 2, 3], -50, 20, 4),                       # one tile
+])
+def test_gaussian_block_split_cannot_change_values(monkeypatch, seeds, first, steps, modes):
+    blocks = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(noise, "_WORKERS", workers)
+        blocks.append(gaussian_block(seeds, first, steps, modes, 0.01))
+    assert blocks[0].shape == (len(seeds), steps, modes)
+    for b in blocks[1:]:
+        assert np.array_equal(b, blocks[0])
+        assert b.strides == blocks[0].strides
+
+
+def test_one_tile_block_makes_no_pool(monkeypatch):
+    monkeypatch.setattr(noise, "_WORKERS", 3)
+    monkeypatch.setattr(noise, "_pool", (None, None))
+    gaussian_block([1, 2, 3], -50, 20, 4, 0.01)
+    gaussian_block(derive_seeds_from(5, 0, 3000), 0, 0, 2, 0.01)
+    assert noise._pool == (None, None)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more calling threads than CPUs, switching often, race for a fresh pool
+    made = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)  # widen the window between checking for a pool and setting it
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(noise, "_WORKERS", 3)
+    monkeypatch.setattr(noise, "_pool", (None, None))
+    seeds = derive_seeds_from(3, 0, 2000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            calls = [callers.submit(gaussian_block, seeds, -700, 41, 3, 0.01) for _ in range(6)]
+            digests = {sha256(c.result(timeout=60)) for c in calls}
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert digests == {"923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"}
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("first, steps, modes, dt", [
+    (0, 4, 2, -0.1),
+    (0, 4, 2, 0.0),
+    (0, 4, 2, np.nan),
+    (0, 4, 2, np.inf),
+    (0.5, 4, 2, 0.1),
+    (0, 4.0, 2, 0.1),
+    (0, 4, 2.0, 0.1),
+    (True, 4, 2, 0.1),
+    (0, 4, 0, 0.1),
+    (0, -1, 2, 0.1),
+])
+def test_gaussian_block_rejects_bad_scalars(first, steps, modes, dt):
+    with pytest.raises(InputError):
+        gaussian_block([1, 2], first, steps, modes, dt)
+
+
+def test_gaussian_block_takes_numpy_integers():
+    block = gaussian_block([1, 2], -5, 6, 3, 0.1)
+    same = gaussian_block([1, 2], np.int64(-5), np.int32(6), np.uint8(3), np.float64(0.1))
+    assert np.array_equal(block, same)
 
 
 def test_gaussian_block_is_step_major():
