@@ -8,7 +8,14 @@ echo reproduces the artifacts bit for bit.
 
 Each command is one `_COMMANDS` entry, made by `@_command`: its config
 keys with parser and default, its artifact names, and a run body that
-looks the library functions up when it runs.  `_parse` applies the entry.
+looks the library functions up when it runs.  One function, `_parse_block`,
+applies a key table to every mapping of a config: the command itself,
+`model`, `grid`/`view`, `event` (one table per kind) and `outputs`.
+
+The parsers check YAML types only, and every number must be finite.
+Ranges (dt > 0, horizons increasing, eps under the ceiling, seeds in 64
+bits, ...) are checked by the library function that uses the value,
+before it starts work, so a config and a library call get one answer.
 
 Exit codes: 0 success, 2 validation problems (bad config, bad files),
 3 numerical failures (blow-up, non-convergence, stalled descent), with
@@ -21,11 +28,9 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
 import yaml
 
 from . import ldpverify, mam, pullback
@@ -40,7 +45,7 @@ from .errors import (
     OptimizationStalledError,
     ToolkitError,
 )
-from .grids import TimeGrid, from_dt
+from .grids import from_dt
 from .integrate import em_step_sde, integrate_skeleton, load_path, save_path, write_json
 from .models import make_model, model_names
 from .noise import sample_noise
@@ -48,124 +53,107 @@ from .noise import sample_noise
 _NUMERICAL_ERRORS = (DivergenceError, NonConvergenceError,
                      OptimizationStalledError, NonInvertibleDiffusionError,
                      InsufficientDataError)
-_U64_MAX = (1 << 64) - 1
 _REQUIRED = object()  # the default of a key that every config must give
 
 
-def _check_keys(block: dict, allowed, context: str) -> None:
-    if not isinstance(block, dict):
-        raise InputError(f"{context}: expected a mapping, got {type(block).__name__}")
-    unknown = sorted(set(block) - set(allowed))
+def _parse_block(keys: dict, block, context: str) -> dict:
+    """The mapping `block` parsed by its key table, key -> (parser, default).
+
+    Unknown keys are refused, a missing _REQUIRED key is reported and the
+    other defaults are applied.
+    """
+    block = _as_mapping(block, context)
+    unknown = sorted(set(block) - set(keys))
     if unknown:
         raise InputError(f"{context}: unknown key(s) {unknown}")
+    parsed = {}
+    for key, (parse, default) in keys.items():
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise InputError(f"{context}: missing required key '{key}'")
+        # an optional key that is left out or null stays None
+        optional_none = value is None and default is None
+        parsed[key] = None if optional_none else parse(value, f"{context}.{key}")
+    return parsed
 
 
-def _need(block: dict, key: str, context: str):
-    if key not in block:
-        raise InputError(f"{context}: missing required key '{key}'")
-    return block[key]
+# Parsers: (config value, context for messages) -> parsed value.  They
+# convert YAML types only; the library function that uses a value checks its range.
 
-
-# Parsers: (config value, context for messages) -> parsed value.
-
-def _as_number(value, context: str, positive=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{context}: expected a number, got {value!r}")
-    v = float(value)
-    if positive and v <= 0:
-        raise InputError(f"{context}: must be positive, got {v}")
-    return v
-
-
-def _as_int(value, context: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{context}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise InputError(f"{context}: must be at least {minimum}, got {value}")
+def _as_mapping(value, context: str) -> dict:  # null is an empty mapping
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InputError(f"{context}: expected a mapping, got {type(value).__name__}")
     return value
 
 
-def _as_seed(value, context: str) -> int:
-    v = _as_int(value, context, minimum=0)
-    if v > _U64_MAX:
-        raise InputError(f"{context}: must fit in 64 unsigned bits, got {v}")
-    return v
+def _as_number(value, context: str) -> float:
+    # NaN, infinities and integers past the float range all fail the comparison
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise InputError(f"{context}: expected a finite number, got {value!r}")
+    return float(value)
 
 
-def _as_state_list(value, context: str) -> np.ndarray:
+def _as_int(value, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_numbers(value, context: str) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise InputError(f"{context}: expected a non-empty list of numbers")
-    return np.array([_as_number(v, context) for v in value])
+    return [_as_number(v, context) for v in value]
 
 
-def _positive_list(value, context: str, minimum: int) -> list:
-    if not isinstance(value, (list, tuple)) or len(value) < minimum:
-        raise InputError(f"{context}: expected a list of {minimum} or more positive numbers")
-    return [_as_number(v, context, positive=True) for v in value]
-
-
-def _csv_path(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{context}: expected a CSV file path")
+def _as_name(value, context: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise InputError(f"{context}: expected a file name")
     return value
 
 
 def _parse_x0(value, context: str):
-    return value if value == "rest" else _as_state_list(value, context)
+    return value if value == "rest" else _as_numbers(value, context)
 
 
 def _as_is(value, context: str):  # for a value the library checks itself
     return value
 
 
-def _parse_grid(block, context: str) -> TimeGrid:
-    _check_keys(block, ("t_start", "t_end", "dt"), context)
-    t0 = _as_number(_need(block, "t_start", context), f"{context}.t_start")
-    t1 = _as_number(_need(block, "t_end", context), f"{context}.t_end")
-    dt = _as_number(_need(block, "dt", context), f"{context}.dt", positive=True)
-    if t1 <= t0:
-        raise InputError(f"{context}: t_end must exceed t_start")
-    return from_dt(t0, t1, dt)
+def _block(keys: dict, build: Callable) -> Callable:
+    """Parser of a nested mapping: build(**the block parsed by `keys`)."""
+    return lambda block, context: build(**_parse_block(keys, block, context))
 
 
-def _parse_model(block, context: str):
-    _check_keys(block, ("name", "params"), context)
-    name = _need(block, "name", context)
-    params = block.get("params")  # None (absent or null) means the defaults
-    if params is not None and not isinstance(params, dict):
-        raise InputError(f"{context}.params: expected a mapping")
-    return make_model(name, params)
+_NUMBER = (_as_number, _REQUIRED)
+_parse_grid = _block({"t_start": _NUMBER, "t_end": _NUMBER, "dt": _NUMBER}, from_dt)
+_parse_model = _block({"name": (_as_is, _REQUIRED), "params": (_as_mapping, None)}, make_model)
+# event kind -> its keys besides `kind`; the kind names an Event constructor
+_EVENT_KEYS = {
+    "norm_ge": {"threshold": _NUMBER},
+    "coord_ge": {"index": (_as_int, _REQUIRED), "threshold": _NUMBER},
+    "box": {"lo": (_as_numbers, _REQUIRED), "hi": (_as_numbers, _REQUIRED)},
+}
 
 
 def _parse_event(block, context: str) -> ldpverify.Event:
-    _check_keys(block, ("kind", "threshold", "index", "lo", "hi"), context)
-    kind = _need(block, "kind", context)
-    if kind == "norm_ge":
-        return ldpverify.Event.norm_ge(
-            _as_number(_need(block, "threshold", context), f"{context}.threshold"))
-    if kind == "coord_ge":
-        return ldpverify.Event.coord_ge(
-            _as_int(_need(block, "index", context), f"{context}.index", minimum=0),
-            _as_number(_need(block, "threshold", context), f"{context}.threshold"))
-    if kind == "box":
-        return ldpverify.Event.box(
-            _as_state_list(_need(block, "lo", context), f"{context}.lo"),
-            _as_state_list(_need(block, "hi", context), f"{context}.hi"))
-    raise InputError(f"{context}.kind: expected norm_ge, coord_ge or box, got {kind!r}")
+    kind = _as_mapping(block, context).get("kind")
+    if kind not in _EVENT_KEYS:
+        raise InputError(f"{context}.kind: expected norm_ge, coord_ge or box, got {kind!r}")
+    fields = _parse_block({"kind": (_as_is, _REQUIRED), **_EVENT_KEYS[kind]}, block, context)
+    return getattr(ldpverify.Event, fields.pop("kind"))(**fields)
 
-
-_as_positive = partial(_as_number, positive=True)
-_as_schedule = partial(_positive_list, minimum=1)
 
 # (parser, default) pairs shared by several commands
 _MODEL = (_parse_model, _REQUIRED)
-_SEED = (_as_seed, _REQUIRED)
-_HORIZONS = (partial(_positive_list, minimum=2), None)
+_SEED = (_as_int, _REQUIRED)
+_HORIZONS = (_as_numbers, None)
 
 
 class _Command(NamedTuple):
     keys: dict     # config key -> (parser, default); _REQUIRED marks a mandatory key
-    outputs: dict  # artifact -> default file name
     run: Callable  # run(parsed config, artifact paths): calls the library, writes artifacts
 
 
@@ -173,40 +161,18 @@ _COMMANDS: dict[str, _Command] = {}
 
 
 def _command(name: str, outputs: dict, **keys):
-    """Register the decorated run body as command `name`."""
+    """Register the decorated run body as command `name`; `outputs` maps each
+    artifact to its default file name, which the config's `outputs` block may override."""
+    names = _block({key: (_as_name, default) for key, default in outputs.items()}, dict)
+
     def register(run):
-        _COMMANDS[name] = _Command(keys, outputs, run)
+        _COMMANDS[name] = _Command({"version": (_as_is, None), **keys,
+                                    "outputs": (names, {})}, run)
         return run
     return register
 
 
-def _parse(command: str, config: dict) -> SimpleNamespace:
-    """The command's keys parsed and defaulted; `given` holds the keys the config names."""
-    keys = _COMMANDS[command].keys
-    _check_keys(config, [*keys, "version", "outputs"], command)
-    parsed = {}
-    for key, (parse, default) in keys.items():
-        value = config.get(key, default)
-        if value is _REQUIRED:
-            raise InputError(f"{command}: missing required key '{key}'")
-        # an optional key that is left out or null stays None
-        optional_none = value is None and default is None
-        parsed[key] = None if optional_none else parse(value, f"{command}.{key}")
-    return SimpleNamespace(given=set(config), **parsed)
-
-
-def _artifact_paths(config: dict, command: str, out_dir: str) -> dict:
-    names = dict(_COMMANDS[command].outputs)
-    block = {} if config.get("outputs") is None else config["outputs"]
-    _check_keys(block, names, f"{command}.outputs")
-    for key, value in block.items():
-        if not isinstance(value, str) or not value:
-            raise InputError(f"{command}.outputs.{key}: expected a file name")
-        names[key] = value
-    return {key: os.path.join(out_dir, name) for key, name in names.items()}
-
-
-def _x0(c: SimpleNamespace) -> np.ndarray:
+def _x0(c: SimpleNamespace):
     return c.model.pullback_init if isinstance(c.x0, str) else c.x0
 
 
@@ -222,7 +188,7 @@ def _save_ladder(path, diag, files: dict, tol: float) -> None:
 
 
 @_command("simulate", {"path": "simulate_path.csv"},
-          model=_MODEL, eps=(_as_number, _REQUIRED), grid=(_parse_grid, _REQUIRED), seed=_SEED,
+          model=_MODEL, eps=_NUMBER, grid=(_parse_grid, _REQUIRED), seed=_SEED,
           x0=(_parse_x0, _REQUIRED))
 def _simulate(c, files):
     noise = sample_noise(c.grid, c.model.modes, c.seed)
@@ -231,8 +197,8 @@ def _simulate(c, files):
 
 @_command("pullback", {"path": "pullback_path.csv",
                        "diagnostics": "pullback_diagnostics.json"},
-          model=_MODEL, eps=(_as_number, _REQUIRED), view=(_parse_grid, _REQUIRED), seed=_SEED,
-          horizons=_HORIZONS, tol=(_as_positive, 1e-4))
+          model=_MODEL, eps=_NUMBER, view=(_parse_grid, _REQUIRED), seed=_SEED,
+          horizons=_HORIZONS, tol=(_as_number, 1e-4))
 def _pullback(c, files):
     path, diag = pullback.pullback_stationary(c.model, c.eps, c.seed, c.view,
                                               horizons=c.horizons, tol=c.tol)
@@ -241,9 +207,9 @@ def _pullback(c, files):
 
 @_command("skeleton", {"path": "skeleton_path.csv",
                        "diagnostics": "skeleton_diagnostics.json"},
-          model=_MODEL, control=(_csv_path, None), x0=(_parse_x0, None),
+          model=_MODEL, control=(_as_name, None), x0=(_parse_x0, None),
           grid=(_parse_grid, None), view=(_parse_grid, None), horizons=_HORIZONS,
-          tol=(_as_positive, 1e-4))
+          tol=(_as_number, 1e-4))
 def _skeleton(c, files):
     control = None if c.control is None else load_control(c.control)
     if c.view is not None:
@@ -261,7 +227,7 @@ def _skeleton(c, files):
 
 
 @_command("action", {"report": "action_report.json", "control": "action_control.csv"},
-          model=_MODEL, path=(_csv_path, _REQUIRED))
+          model=_MODEL, path=(_as_name, _REQUIRED))
 def _action(c, files):
     report = compute_action(c.model, load_path(c.path))
     write_json(report.to_dict(), files["report"])
@@ -269,8 +235,8 @@ def _action(c, files):
 
 
 @_command("mam", {"path": "mam_path.csv", "report": "mam_report.json"},
-          model=_MODEL, target=(_as_state_list, _REQUIRED), T=(_as_positive, _REQUIRED),
-          steps=(partial(_as_int, minimum=2), _REQUIRED), init=(_as_is, "linear"))
+          model=_MODEL, target=(_as_numbers, _REQUIRED), T=_NUMBER,
+          steps=(_as_int, _REQUIRED), init=(_as_is, "linear"))
 def _mam(c, files):
     path, value, iterations, met_gtol = mam.solve_horizon(c.model, c.target, c.T, c.steps,
                                                           init=c.init)
@@ -284,8 +250,8 @@ def _mam(c, files):
 
 
 @_command("qpot", {"result": "qpot_result.json", "path": "qpot_path.csv"},
-          model=_MODEL, target=(_as_state_list, _REQUIRED), T_schedule=(_as_schedule, None),
-          steps_per_unit=(_as_positive, 50), tol=(_as_positive, 1e-3))
+          model=_MODEL, target=(_as_numbers, _REQUIRED), T_schedule=(_as_numbers, None),
+          steps_per_unit=(_as_number, 50), tol=(_as_number, 1e-3))
 def _qpot(c, files):
     result = mam.quasipotential(c.model, c.target, T_schedule=c.T_schedule,
                                 steps_per_unit=c.steps_per_unit, tol=c.tol)
@@ -295,8 +261,8 @@ def _qpot(c, files):
 
 @_command("verify-ldp", {"estimates": "ldp_estimates.csv", "fit": "ldp_fit.json"},
           model=_MODEL, event=(_parse_event, _REQUIRED), seed=_SEED,
-          eps_list=(_as_schedule, None), n_samples=(partial(_as_int, minimum=1), _REQUIRED),
-          dt=(_as_positive, None), horizons=_HORIZONS, tol=(_as_positive, 1e-3),
+          eps_list=(_as_numbers, None), n_samples=(_as_int, _REQUIRED),
+          dt=(_as_number, None), horizons=_HORIZONS, tol=(_as_number, 1e-3),
           reference=(_as_number, None))
 def _verify_ldp(c, files):
     # the slope fit needs 3 distinct eps (the default schedule has 4)
@@ -363,11 +329,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if "seed" not in _COMMANDS[args.command].keys:
                 raise InputError(f"--seed: command '{args.command}' takes no seed")
-            config["seed"] = _as_seed(args.seed, "--seed")  # lands in the echo
-        parsed = _parse(args.command, config)
-        files = _artifact_paths(config, args.command, args.out)
+            config["seed"] = args.seed  # lands in the echo
+        parsed = _parse_block(_COMMANDS[args.command].keys, config, args.command)
+        files = {key: os.path.join(args.out, name) for key, name in parsed["outputs"].items()}
         os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command].run(parsed, files)
+        _COMMANDS[args.command].run(SimpleNamespace(given=set(config), **parsed), files)
         with open(os.path.join(args.out, f"{args.command.replace('-', '_')}_config.yaml"),
                   "w") as fh:
             yaml.safe_dump(config, fh, sort_keys=False)

@@ -36,7 +36,7 @@ class TimeGrid:
             raise InputError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
-        if int(self.steps) != self.steps or self.steps < 1:
+        if not (float(self.steps).is_integer() and self.steps >= 1):  # NaN, inf fail too
             raise InputError(f"grid needs a positive integer step count, got {self.steps}")
 
     @property
@@ -65,8 +65,7 @@ def from_dt(t_start: float, t_end: float, dt: float) -> TimeGrid:
     The span must be an integer number of steps (to alignment tolerance);
     a silently stretched dt would break noise-record alignment.
     """
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
+    check_positive(dt, "dt")
     steps = whole_steps((t_end - t_start) / dt,
                         f"window [{t_start}, {t_end}] is not an integer number of dt={dt} steps")
     return TimeGrid(t_start, t_end, steps)  # which refuses an empty or reversed window
@@ -76,8 +75,27 @@ def same_spacing(a: TimeGrid, b: TimeGrid) -> bool:
     return abs(a.dt - b.dt) <= _ALIGN_RTOL * max(a.dt, b.dt)
 
 
+def check_positive(x: float, name: str) -> None:
+    """InputError unless x is positive and finite (NaN is neither)."""
+    if not 0 < x < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {x}")
+
+
+def check_horizons(horizons, least: int, name: str = "horizons") -> list[float]:
+    """`horizons` as floats; InputError unless `least` or more, positive, finite, increasing."""
+    h = [float(n) for n in horizons]
+    # strictly increasing from a positive first to a finite last: all finite, and NaN fails
+    if len(h) < least or not (0 < h[0] and h[-1] < math.inf
+                              and all(a < b for a, b in zip(h, h[1:]))):
+        raise InputError(f"{name} must be {least} or more positive, finite and strictly "
+                         f"increasing values, got {h}")
+    return h
+
+
 def whole_steps(x: float, message: str) -> int:
     """The step count x as an integer; raises InputError(message) unless it is whole."""
+    if not math.isfinite(x):
+        raise InputError(message)
     n = int(round(x))
     if abs(x - n) > _ALIGN_RTOL * max(1.0, abs(x)):
         raise InputError(message)
@@ -90,19 +108,15 @@ def uniform_spacing(times: np.ndarray, source) -> float:
         raise InputError(f"{source}: need at least two time points to fix the step")
     dts = np.diff(times)
     dt = float(np.mean(dts))
-    if dt <= 0 or np.max(np.abs(dts - dt)) > _ALIGN_RTOL * max(1.0, abs(dt)):
+    if not (dt > 0 and np.max(np.abs(dts - dt)) <= _ALIGN_RTOL * max(1.0, abs(dt))):
         raise InputError(f"{source}: time column is not a uniform grid")
     return dt
 
 
 def ladder_steps(horizons, dt: float, start: float = 0.0, least: int = 0) -> list[int]:
     """Whole dt steps (at least `least`) covering start + n per horizon n, snapped outward;
-    InputError unless 2+ horizons are positive, increasing, -n <= start, and stay distinct."""
-    horizons = [float(n) for n in horizons]
-    if len(horizons) < 2:
-        raise InputError(f"need at least two horizons to measure a gap, got {horizons}")
-    if horizons[0] <= 0 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InputError(f"horizons must be positive and strictly increasing, got {horizons}")
+    InputError unless check_horizons passes 2+ of them, -n <= start, and they stay distinct."""
+    horizons = check_horizons(horizons, 2)
     if -horizons[0] > start + 1e-12:
         raise InputError(f"horizon {horizons[0]} starts inside the window from t = {start}")
     steps = [max(least, math.ceil((start + n) / dt - 1e-9)) for n in horizons]

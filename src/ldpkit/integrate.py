@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grids import TimeGrid, same_spacing, step_offset, uniform_spacing, whole_steps
+from .grids import (_ALIGN_RTOL, TimeGrid, check_positive, same_spacing, step_offset,
+                    uniform_spacing, whole_steps)
 from .models import ModelSpec, drift, h_norm_sq
 from .noise import NoisePath
 
@@ -84,19 +85,21 @@ def load_path(filename) -> Path:
     return Path(grid, table[:, 1:])
 
 
-def _check_x0(model: ModelSpec, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (model.dim,):
+def check_state(model: ModelSpec, x, what: str = "initial state") -> np.ndarray:
+    """x as a float array (a scalar for a one-dimensional model); InputError unless
+    it is one finite state of the model."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.shape != (model.dim,):
         raise InputError(
-            f"initial state for '{model.name}' must have shape ({model.dim},), got {x0.shape}"
+            f"{what} for '{model.name}' must have shape ({model.dim},), got {x.shape}"
         )
-    if not np.all(np.isfinite(x0)):
-        raise InputError("initial state contains non-finite values")
-    return x0
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{what} contains non-finite values")
+    return x
 
 
 def check_eps(model: ModelSpec, eps: float) -> None:
-    if eps < 0:
+    if not eps >= 0:
         raise InputError(f"eps must be non-negative, got {eps}")
     if eps > model.eps0:
         raise ConfigurationError(
@@ -105,12 +108,12 @@ def check_eps(model: ModelSpec, eps: float) -> None:
 
 
 def check_dt(model: ModelSpec, dt: float) -> None:
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if model.max_stable_dt is not None and dt > model.max_stable_dt:
+    """dt positive, finite and within the alignment tolerance of the stability ceiling."""
+    check_positive(dt, "dt")
+    ceiling = model.max_stable_dt
+    if ceiling is not None and dt > ceiling * (1.0 + _ALIGN_RTOL):
         raise ConfigurationError(
-            f"dt = {dt:.3e} exceeds the explicit stability ceiling "
-            f"{model.max_stable_dt:.3e} of '{model.name}'"
+            f"dt = {dt!r} exceeds the explicit stability ceiling {ceiling!r} of '{model.name}'"
         )
 
 
@@ -213,7 +216,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
     The noise record must cover the grid with the same spacing; its
     increments are consumed mode-wise through the model's diffusion.
     """
-    x0 = _check_x0(model, x0)
+    x0 = check_state(model, x0)
     check_dt(model, grid.dt)
     check_eps(model, eps)
     if noise.modes != model.modes:
@@ -263,7 +266,7 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
 
 def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Path:
     """Heun (explicit trapezoidal) trajectory of the controlled equation."""
-    x0 = _check_x0(model, x0)
+    x0 = check_state(model, x0)
     check_dt(model, grid.dt)
     table = _control_table(model, grid, control)
     # each step is a one-step block of its own: one gemm over all steps rounds differently

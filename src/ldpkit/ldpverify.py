@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .grids import ladder_steps
+from .grids import check_positive, ladder_steps
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_advance, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_block
@@ -48,7 +48,7 @@ class Event:
 
     @classmethod
     def norm_ge(cls, threshold: float) -> "Event":
-        if threshold < 0:
+        if not threshold >= 0:
             raise InputError(f"norm threshold must be non-negative, got {threshold}")
         return cls(kind="norm_ge", threshold=float(threshold))
 
@@ -56,6 +56,8 @@ class Event:
     def coord_ge(cls, index: int, threshold: float) -> "Event":
         if index < 0:
             raise InputError(f"coordinate index must be non-negative, got {index}")
+        if math.isnan(threshold):
+            raise InputError("coordinate threshold is NaN")
         return cls(kind="coord_ge", threshold=float(threshold), index=int(index))
 
     @classmethod
@@ -64,8 +66,8 @@ class Event:
         hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
         if lo.shape != hi.shape:
             raise InputError(f"box corners must match, got {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            raise InputError("box has lo > hi in some coordinate")
+        if not np.all(lo <= hi):  # NaN corners fail too; infinite ones leave a side open
+            raise InputError(f"box needs lo <= hi in every coordinate, got {lo} and {hi}")
         return cls(kind="box", lo=lo, hi=hi)
 
     def check_fits(self, model: ModelSpec) -> None:
@@ -195,8 +197,9 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     must fall below `tol` or the offending seed is reported.
     """
     check_eps(model, eps)
-    if n_samples < 1:
+    if not n_samples >= 1:
         raise InputError(f"need at least one sample, got {n_samples}")
+    check_positive(tol, "tol")
     if dt is None:
         dt = model.default_dt
     check_dt(model, dt)
@@ -242,6 +245,7 @@ def estimate_event(model: ModelSpec, event: Event, eps_list=None,
     # what can be checked before the first (long) sampling run
     event.check_fits(model)
     for eps in eps_list:
+        check_positive(eps, "eps")  # eps * log p needs noise
         check_eps(model, eps)
     estimates = []
     for j, eps in enumerate(eps_list):

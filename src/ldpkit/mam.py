@@ -26,8 +26,8 @@ from scipy.linalg import solveh_banded
 
 from .action import action, control_jacobian, value_and_gradient
 from .errors import ConfigurationError, InputError, OptimizationStalledError
-from .grids import TimeGrid
-from .integrate import Path, integrate_skeleton
+from .grids import TimeGrid, check_horizons, check_positive
+from .integrate import Path, check_state, integrate_skeleton
 from .models import ModelSpec
 
 # a horizon is solved once every interior gradient entry is this small
@@ -62,26 +62,6 @@ class QPResult:
             "warning": self.warning,
             "defect": float(self.defect),
         }
-
-
-def _check_model(model: ModelSpec) -> None:
-    if not (model.autonomous and model.zero_equilibrium):
-        raise ConfigurationError(
-            f"'{model.name}' is not autonomous with rest state 0; transition costs "
-            "from rest are defined here only for such models"
-        )
-
-
-def _check_target(model: ModelSpec, target) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    if x.shape != (model.dim,):
-        raise InputError(
-            f"target shape {x.shape} does not match model '{model.name}' "
-            f"(dim {model.dim})"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InputError("target contains non-finite entries")
-    return x
 
 
 def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,
@@ -124,16 +104,21 @@ def _gn_band(A: np.ndarray, B: np.ndarray, dt: float) -> np.ndarray:
     return cols[:, b + d, b].transpose(1, 0, 2).reshape(2 * dim, nb * dim)
 
 
-def _minimize(model: ModelSpec, target: np.ndarray, T: float, grid_steps: int,
-              init: Union[Path, str]):
-    """Damped Gauss-Newton descent of the interior states.
+def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
+                  init: Union[Path, str] = "linear"):
+    """minimize_action with the solver's verdict: (path, value, iterations, met_gtol).
 
-    Returns (path, value, iterations, met_gtol).  iterations counts
-    accepted steps; each step tries dampings upward, one banded solve apiece.
+    A damped Gauss-Newton descent of the interior states; iterations counts
+    accepted steps, and each step tries dampings upward, one banded solve apiece.
     """
-    if T <= 0:
-        raise InputError(f"horizon must be positive, got {T}")
-    if grid_steps < 2:
+    if not (model.autonomous and model.zero_equilibrium):
+        raise ConfigurationError(
+            f"'{model.name}' is not autonomous with rest state 0; transition costs "
+            "from rest are defined here only for such models"
+        )
+    target = check_state(model, target, "target")
+    check_positive(T, "horizon")
+    if not grid_steps >= 2:
         raise InputError(f"need at least 2 steps to have interior states, got {grid_steps}")
     grid = TimeGrid(-float(T), 0.0, int(grid_steps))
     path = Path(grid, _initial_states(model, target, grid, init))
@@ -173,13 +158,6 @@ def _minimize(model: ModelSpec, target: np.ndarray, T: float, grid_steps: int,
     return path, value, _MAX_ITER, bool(np.max(np.abs(grad[1:-1])) <= _GTOL)
 
 
-def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
-                  init: Union[Path, str] = "linear"):
-    """minimize_action with the solver's verdict: (path, value, iterations, met_gtol)."""
-    _check_model(model)
-    return _minimize(model, _check_target(model, target), T, grid_steps, init)
-
-
 def minimize_action(model: ModelSpec, target, T: float, grid_steps: int,
                     init: Union[Path, str] = "linear"):
     """Cheapest discrete path from rest at -T to `target` at 0.
@@ -209,26 +187,18 @@ def quasipotential(model: ModelSpec, target, T_schedule=None,
     schedule unconverged.  A final path whose action defect exceeds `tol`
     is not reachable by any control, so it is never reported converged.
     """
-    _check_model(model)
-    x = _check_target(model, target)
     if T_schedule is None:
         T_schedule = default_t_schedule(model)
-    T_schedule = [float(t) for t in T_schedule]
-    if len(T_schedule) < 1:
-        raise InputError("T_schedule must contain at least one horizon")
-    if any(b <= a for a, b in zip(T_schedule, T_schedule[1:])):
-        raise InputError(f"T_schedule must be strictly increasing, got {T_schedule}")
-    if steps_per_unit <= 0:
-        raise InputError(f"steps_per_unit must be positive, got {steps_per_unit}")
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    T_schedule = check_horizons(T_schedule, 1, "T_schedule")
+    check_positive(steps_per_unit, "steps_per_unit")
+    check_positive(tol, "tol")
 
     horizons, values, iterations, solved, notes = [], [], [], [], []
     converged = False
     path: Union[Path, str] = "linear"
     for T in T_schedule:
         grid_steps = max(2, int(round(T * steps_per_unit)))
-        path, value, nit, met_gtol = _minimize(model, x, T, grid_steps, path)
+        path, value, nit, met_gtol = solve_horizon(model, target, T, grid_steps, path)
         horizons.append(T)
         values.append(value)
         iterations.append(nit)
@@ -252,7 +222,8 @@ def quasipotential(model: ModelSpec, target, T_schedule=None,
     if defect > tol:
         converged = False
         notes.append(f"final path has defect {defect:.3g} above tol {tol:g}")
-    return QPResult(target=x, horizons=horizons, values=values,
+    # the path's pinned end state is the checked target
+    return QPResult(target=path.states[-1], horizons=horizons, values=values,
                     iterations=iterations, converged_value=values[-1],
                     converged=converged, warning="; ".join(notes) or None,
                     defect=defect, path=path)

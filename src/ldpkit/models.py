@@ -29,6 +29,7 @@ occupies the last axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -357,6 +358,14 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 # ---------------------------------------------------------------------------
 # registry
 
+def _real(value) -> float:
+    """A finite real parameter; NaN and infinities are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
 def _whole(value) -> int:
     """An integer-valued parameter; 20.9 is refused, not truncated."""
     x = float(value)
@@ -367,15 +376,15 @@ def _whole(value) -> int:
 
 # name -> (factory, config-facing parameter names -> (factory kwarg, conversion))
 _REGISTRY = {
-    "ou": (_make_ou, {"a": ("a", float)}),
+    "ou": (_make_ou, {"a": ("a", _real)}),
     "periodic1d": (_make_periodic1d, {}),
-    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": ("lam", float)}),
+    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": ("lam", _real)}),
     "linear2d-a2": (lambda **kw: _make_linear2d("a2", **kw),
-                    {"lambda": ("lam", float), "beta": ("beta", float)}),
-    "hopf-radial": (_make_hopf_radial, {"c": ("c", float)}),
+                    {"lambda": ("lam", _real), "beta": ("beta", _real)}),
+    "hopf-radial": (_make_hopf_radial, {"c": ("c", _real)}),
     "burgers1d": (
         _make_burgers1d,
-        {"grid": ("n", _whole), "K": ("kmax", _whole), "d0": ("d0", float),
+        {"grid": ("n", _whole), "K": ("kmax", _whole), "d0": ("d0", _real),
          "diffusion": ("diffusion", str)},
     ),
 }
@@ -404,7 +413,7 @@ def make_model(name: str, params: Optional[dict] = None) -> ModelSpec:
         kwarg, convert = allowed[key]
         try:
             kwargs[kwarg] = convert(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise InputError(f"model {name!r} parameter {key!r}: cannot use {value!r} "
                              f"({err})") from None
     return factory(**kwargs)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InputError
-from .grids import TimeGrid, step_offset, whole_steps
+from .grids import TimeGrid, check_positive, step_offset, whole_steps
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -139,8 +139,7 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) ->
         raise InputError(f"mode count must be positive, got {modes}")
     if steps < 0:
         raise InputError("step count must be non-negative")
-    if not (np.isfinite(dt) and dt > 0):
-        raise InputError(f"dt must be positive and finite, got {dt}")
+    check_positive(dt, "dt")
     states = _stream_states(seeds)
     # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
     base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .grids import TimeGrid, ladder_steps, whole_steps
+from .grids import TimeGrid, check_positive, ladder_steps, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
@@ -67,6 +67,7 @@ def _ladder_grids(view: TimeGrid, horizons) -> list[TimeGrid]:
 def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
                 integrate: Callable[[TimeGrid], Path], tol: float, seed=None):
     """Integrate the ladder, measure view-window sup gaps, fit the decay rate."""
+    check_positive(tol, "tol")
     gaps = []
     prev = None
     for grid in grids:

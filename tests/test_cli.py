@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import yaml
 
 from ldpkit import Path, from_dt, load_path, make_model, save_path
-from ldpkit.cli import main
+from ldpkit.cli import _COMMANDS, _EVENT_KEYS, _parse_block, main
 from ldpkit.mam import _MAX_ITER
 
 
@@ -421,6 +422,57 @@ CONFIG_MISTAKES = [
                  id="box-corner-shape"),
     pytest.param("verify-ldp", dict(LATE, eps_list=[0.4, 0.9]), [], 2, "ConfigurationError",
                  id="later-eps-above-ceiling"),
+    # an integer past the float range is no finite number either
+    pytest.param("simulate", dict(SIM, eps=10**400), [], 2, "InputError", id="eps-past-float"),
+    pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": 10**400}}), [], 2,
+                 "InputError", id="model-param-past-float"),
+    # each event kind takes its own keys only
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "norm_ge", "threshold": 0.4,
+                                                 "index": 0}), [], 2, "InputError",
+                 id="norm-ge-with-index"),
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "norm_ge", "threshold": 0.4,
+                                                 "lo": [0.0]}), [], 2, "InputError",
+                 id="norm-ge-with-lo"),
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "coord_ge", "index": 0,
+                                                 "threshold": 0.4, "hi": [1.0]}), [], 2,
+                 "InputError", id="coord-ge-with-hi"),
+    # range checks the library makes, one or more per command; LATE shows they come
+    # before sampling
+    pytest.param("simulate", dict(SIM, grid={"t_start": 0.0, "t_end": 0.5, "dt": 0.0}), [], 2,
+                 "InputError", id="grid-dt-zero"),
+    pytest.param("simulate", dict(SIM, grid={"t_start": 0.5, "t_end": 0.0, "dt": 0.01}), [], 2,
+                 "InputError", id="grid-reversed"),
+    pytest.param("simulate", dict(SIM, seed=-1), [], 2, "InputError", id="seed-negative"),
+    pytest.param("simulate", dict(SIM, seed=1 << 64), [], 2, "InputError", id="seed-65-bits"),
+    pytest.param("simulate", SIM, ["--seed", "-1"], 2, "InputError", id="seed-flag-negative"),
+    pytest.param("pullback", dict(ECHO_CASES["pullback"], tol=0.0), [], 2, "InputError",
+                 id="pullback-tol-zero"),
+    pytest.param("pullback", dict(ECHO_CASES["pullback"], horizons=[5.0]), [], 2, "InputError",
+                 id="pullback-one-horizon"),
+    pytest.param("skeleton", dict(ECHO_CASES["skeleton"], tol=-1e-4), [], 2, "InputError",
+                 id="skeleton-tol-negative"),
+    pytest.param("skeleton", dict(ECHO_CASES["skeleton"], horizons=[4.0, 2.0]), [], 2,
+                 "InputError", id="skeleton-horizons-decreasing"),
+    pytest.param("mam", dict(ECHO_CASES["mam"], T=0.0), [], 2, "InputError", id="mam-T-zero"),
+    pytest.param("mam", dict(ECHO_CASES["mam"], steps=1), [], 2, "InputError", id="mam-one-step"),
+    pytest.param("qpot", dict(ECHO_CASES["qpot"], T_schedule=[2.0, 1.0]), [], 2, "InputError",
+                 id="qpot-schedule-decreasing"),
+    pytest.param("qpot", dict(ECHO_CASES["qpot"], steps_per_unit=0), [], 2, "InputError",
+                 id="qpot-steps-per-unit-zero"),
+    pytest.param("qpot", dict(ECHO_CASES["qpot"], tol=0.0), [], 2, "InputError",
+                 id="qpot-tol-zero"),
+    pytest.param("verify-ldp", dict(LATE, eps_list=[0.4, 0.0, 0.1]), [], 2, "InputError",
+                 id="verify-ldp-eps-zero"),
+    pytest.param("verify-ldp", dict(LATE, tol=0.0), [], 2, "InputError",
+                 id="verify-ldp-tol-zero"),
+    pytest.param("verify-ldp", dict(LATE, n_samples=0), [], 2, "InputError",
+                 id="verify-ldp-no-samples"),
+    pytest.param("verify-ldp", dict(LATE, dt=0.0), [], 2, "InputError", id="verify-ldp-dt-zero"),
+    pytest.param("verify-ldp", dict(LATE, horizons=[2.0, 2.0]), [], 2, "InputError",
+                 id="verify-ldp-horizons-equal"),
+    pytest.param("verify-ldp", dict(LATE, event={"kind": "coord_ge", "index": -1,
+                                                 "threshold": 0.4}), [], 2, "InputError",
+                 id="coord-index-negative"),
     # a numerical failure stays exit 3
     pytest.param("verify-ldp", LATE, [], 3, "NonConvergenceError", id="sampling-gap"),
 ]
@@ -432,3 +484,73 @@ def test_config_mistakes_exit_with_their_class(tmp_path, capsys, command, config
     cfg = write_config(tmp_path, "c.yaml", config)
     got, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"), *flags)
     assert (got, stderr_json(err)["error"]) == (code, error), err
+
+
+# every key of every command with a valid value, as one or more configs per command;
+# skeleton's two modes and the three event kinds need one config each
+FULL = {
+    "simulate": [dict(SIM, model={"name": "ou", "params": {"a": 1.0}}, x0=[0.5])],
+    "pullback": [dict(ECHO_CASES["pullback"], model={"name": "ou", "params": {"a": 1.0}},
+                      horizons=[5.0, 10.0], tol=1e-4)],
+    "skeleton": [
+        dict(FORWARD, model={"name": "linear2d-a2", "params": {"lambda": 0.3, "beta": 2.0}},
+             x0=[1.0, 0.0], control="control.csv"),
+        dict(ECHO_CASES["skeleton"], horizons=[1.0, 2.0], tol=1e-4, control="control.csv"),
+    ],
+    "action": [{"version": 1, "model": {"name": "hopf-radial", "params": {"c": 1.0}},
+                "path": "path.csv"}],
+    "mam": [dict(ECHO_CASES["mam"], model={"name": "burgers1d",
+                                           "params": {"grid": 8, "K": 4, "d0": 1.0}},
+                 target=[0.1] * 8, init="linear")],
+    "qpot": [dict(ECHO_CASES["qpot"], model={"name": "linear2d-a1", "params": {"lambda": 0.3}},
+                  target=[1.0, 0.0], steps_per_unit=50, tol=1e-3)],
+    "verify-ldp": [
+        dict(LDP, model={"name": "ou", "params": {"a": 1.0}}, horizons=[10.0, 20.0], tol=1e-3,
+             reference=0.16),
+        dict(LDP, model={"name": "linear2d-a2"}, event={"kind": "coord_ge", "index": 1,
+                                                         "threshold": 0.5}),
+        dict(LDP, model={"name": "linear2d-a1"}, event={"kind": "box", "lo": [0.5, -1.0],
+                                                         "hi": [1.0, 1.0]}),
+    ],
+}
+
+
+def numeric_leaves(node, where=()):
+    """Key paths of every number in a config, list items included."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from numeric_leaves(value, (*where, key))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield where
+
+
+def test_full_configs_give_every_key_and_parse():
+    assert list(FULL) == list(_COMMANDS)
+    for command, configs in FULL.items():
+        given = set().union(*configs)
+        assert given == set(_COMMANDS[command].keys) - {"outputs"}, command
+        for config in configs:
+            _parse_block(_COMMANDS[command].keys, config, command)  # raises if invalid
+    assert [c["event"]["kind"] for c in FULL["verify-ldp"]] == list(_EVENT_KEYS)
+
+
+NON_FINITE = [
+    pytest.param(command, i, where, id=f"{command}-{i}-" + ".".join(map(str, where)))
+    for command in _COMMANDS
+    for i, config in enumerate(FULL[command])
+    for where in numeric_leaves(config)
+]
+
+
+@pytest.mark.parametrize("command,index,where", NON_FINITE)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, index, where):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        config = copy.deepcopy(FULL[command][index])
+        node = config
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        cfg = write_config(tmp_path, "c.yaml", config)
+        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2 and len(err.splitlines()) == 1, (value, err)
+        assert stderr_json(err)["error"] in ("InputError", "ConfigurationError"), (value, err)

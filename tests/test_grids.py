@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ldpkit import InputError, TimeGrid, from_dt
-from ldpkit.grids import same_spacing, step_offset
+from ldpkit.grids import (check_horizons, check_positive, ladder_steps, same_spacing,
+                          step_offset, whole_steps)
 
 
 def test_basic_fields():
@@ -24,6 +25,9 @@ def test_invalid_windows_rejected():
         TimeGrid(1.0, 0.0, 10)
     with pytest.raises(InputError):
         TimeGrid(0.0, 1.0, 0)
+    for steps in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            TimeGrid(0.0, 1.0, steps)
 
 
 def test_from_dt_exact():
@@ -71,3 +75,34 @@ def test_times_uniform(steps, t0, width):
     assert len(t) == steps + 1
     # uniform spacing to floating-point accuracy
     assert np.allclose(np.diff(t), g.dt, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_check_positive_refuses_nan_and_infinity(bad):
+    check_positive(0.5, "dt")
+    with pytest.raises(InputError, match="dt must be positive and finite"):
+        check_positive(bad, "dt")
+
+
+def test_from_dt_refuses_non_finite_inputs():
+    for t_end, dt in ((1.0, float("nan")), (1.0, float("inf")), (float("inf"), 0.1),
+                      (float("nan"), 0.1)):
+        with pytest.raises(InputError):
+            from_dt(0.0, t_end, dt)
+
+
+def test_whole_steps_refuses_non_finite_counts():
+    # InputError, where int(round(x)) raises ValueError or OverflowError
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="not whole"):
+            whole_steps(x, "not whole")
+
+
+def test_horizon_lists_are_positive_finite_and_increasing():
+    assert check_horizons([1, 2.5], 2) == [1.0, 2.5]
+    for bad in ([], [1.0], [0.0, 1.0], [2.0, 1.0], [1.0, float("nan")],
+                [float("nan"), 1.0], [5.0, float("inf")]):
+        with pytest.raises(InputError, match="positive, finite"):
+            check_horizons(bad, 2)
+    with pytest.raises(InputError):  # once an OverflowError from math.ceil
+        ladder_steps([5.0, float("inf")], 0.01)

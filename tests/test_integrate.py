@@ -23,7 +23,8 @@ from ldpkit import (
     save_path,
 )
 import ldpkit.pullback
-from ldpkit.integrate import BLOWUP_NORM, em_advance, mode_drive
+from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
+                              mode_drive)
 from ldpkit.noise import gaussian_block
 
 
@@ -194,6 +195,9 @@ def test_load_rejects_non_uniform_times(tmp_path):
     f.write_text("time,x1\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     with pytest.raises(InputError):
         load_path(f)
+    f.write_text("time,x1\n0.0,1.0\nnan,1.0\n0.2,1.0\n")  # NaN fails every comparison
+    with pytest.raises(InputError, match="not a uniform grid"):
+        load_path(f)
 
 
 def test_mode_drive_is_the_per_seed_product(ou, lin_a2, hopf, burgers):
@@ -340,3 +344,37 @@ def test_caller_memory_is_never_scaled(monkeypatch, all_models):
                             horizons=[100 * dt, 200 * dt, 300 * dt], tol=1.0)
         rec, keep = sampled.pop()
         assert rec.increments.tobytes() == keep, model.name
+
+
+def test_check_eps_refuses_nan(ou):
+    with pytest.raises(InputError):
+        check_eps(ou, float("nan"))
+    with pytest.raises(ConfigurationError):
+        check_eps(ou, float("inf"))
+
+
+def test_check_dt_refuses_nan_and_infinity(ou):
+    for dt in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InputError):
+            check_dt(ou, dt)
+
+
+def test_check_state_is_one_finite_state(ou, lin_a2):
+    assert check_state(ou, 0.5).shape == (1,)
+    with pytest.raises(InputError, match="target for 'linear2d-a2' must have shape"):
+        check_state(lin_a2, [1.0], "target")
+    with pytest.raises(InputError, match="non-finite"):
+        check_state(lin_a2, [1.0, float("inf")])
+
+
+def test_stability_ceiling_up_to_the_alignment_tolerance(burgers):
+    # 20 steps of the ceiling over [-20 dt, 0] give a grid dt one ulp off the ceiling
+    dt = burgers.max_stable_dt
+    view = TimeGrid(-20 * dt, 0.0, 20)
+    path, diag = pullback_stationary(burgers, 0.05, 0, view, horizons=[0.01, 0.02])
+    assert path.grid == view and len(diag.gaps) == 1
+    above = dt * (1.0 + 1e-6)
+    with pytest.raises(ConfigurationError) as exc:
+        pullback_stationary(burgers, 0.05, 0, TimeGrid(-20 * above, 0.0, 20),
+                            horizons=[0.01, 0.02])
+    assert f"stability ceiling {dt!r}" in str(exc.value)  # both numbers at repr precision

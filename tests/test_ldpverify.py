@@ -295,3 +295,29 @@ def test_save_estimates_format(tmp_path):
     assert lines[0] == "eps,n,hits,p_hat,lo95,hi95,log_scaled"
     assert len(lines) == 3
     assert lines[2].endswith(",")  # blank log_scaled for the zero-hit row
+
+
+def test_event_bounds_refuse_nan():
+    nan = float("nan")
+    with pytest.raises(InputError):
+        Event.norm_ge(nan)
+    with pytest.raises(InputError):
+        Event.coord_ge(0, nan)
+    for lo, hi in (([nan], [1.0]), ([0.0], [nan])):
+        with pytest.raises(InputError):
+            Event.box(lo, hi)
+
+
+def test_sampler_settings_are_checked_before_sampling(ou, monkeypatch):
+    def rows(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(ldpverify, "_pullback_rows", rows)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="tol"):
+            sample_stationary(ou, 0.1, 4, seed=0, dt=0.01, tol=tol)
+    with pytest.raises(InputError):
+        sample_stationary(ou, float("nan"), 4, seed=0, dt=0.01)
+    for eps_list in ([0.3, 0.0], [0.3, float("nan")]):
+        with pytest.raises(InputError, match="eps"):
+            estimate_event(ou, Event.norm_ge(0.5), eps_list=eps_list, n_samples=10, dt=0.01)

@@ -15,7 +15,7 @@ from ldpkit import (
     quasipotential,
     write_json,
 )
-from ldpkit.mam import _minimize, default_t_schedule
+from ldpkit.mam import default_t_schedule, solve_horizon
 
 
 def ou_finite_horizon_cost(a, x, T):
@@ -144,8 +144,8 @@ def test_reversed_flow_start_runs_under_the_stability_ceiling(burgers):
     # the MAM step 0.02 is far above burgers1d's h^2/2 ceiling, so the
     # reversed flow is integrated in Heun substeps
     target = 0.1 * burgers.mode_matrix[:, 0]
-    _, value, _, met_gtol = _minimize(burgers, target, 0.6, 30, "reversed-flow")
-    _, ref, _, ref_met_gtol = _minimize(burgers, target, 0.6, 30, "linear")
+    _, value, _, met_gtol = solve_horizon(burgers, target, 0.6, 30, "reversed-flow")
+    _, ref, _, ref_met_gtol = solve_horizon(burgers, target, 0.6, 30, "linear")
     assert met_gtol and ref_met_gtol
     assert value == pytest.approx(ref, rel=1e-6)
 
@@ -211,3 +211,13 @@ def test_qp_result_serialization(tmp_path, ou):
     assert "path" not in data
     assert data["converged"] == res.converged
     assert data["defect"] == res.defect
+
+
+def test_quasipotential_refuses_non_finite_settings(ou):
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"tol": nan}, {"steps_per_unit": nan}, {"steps_per_unit": inf},
+                   {"T_schedule": [2.0, inf]}, {"T_schedule": [nan]}, {"T_schedule": [-1.0]}):
+        with pytest.raises(InputError):
+            quasipotential(ou, [1.0], **kwargs)
+    with pytest.raises(InputError):
+        solve_horizon(ou, [1.0], nan, 50)

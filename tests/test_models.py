@@ -269,3 +269,12 @@ def test_every_entry_point_runs_or_refuses_the_model(name, params):
             refused.add(entry)
     # transition costs from rest need an autonomous model with rest state 0
     assert refused == ({"minimize_action"} if name in ("periodic1d", "hopf-radial") else set())
+
+
+@pytest.mark.parametrize("name,key", [("ou", "a"), ("linear2d-a1", "lambda"),
+                                      ("linear2d-a2", "beta"), ("hopf-radial", "c"),
+                                      ("burgers1d", "d0"), ("burgers1d", "grid")])
+def test_non_finite_parameters_are_refused(name, key):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match=f"parameter '{key}'"):
+            make_model(name, {key: value})

@@ -320,3 +320,9 @@ def test_block_concatenation_property(seed, base, steps, cut):
 def test_increments_always_finite(seed):
     inc = gaussian_block([seed], 0, 256, 3, 1e-3)
     assert np.all(np.isfinite(inc))
+
+
+def test_gaussian_block_refuses_non_finite_dt():
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="dt must be positive and finite"):
+            gaussian_block([0], 0, 4, 1, dt)

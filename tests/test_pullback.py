@@ -166,3 +166,12 @@ def test_save_diagnostics(tmp_path):
         "fitted_rate": -1.2,
         "converged": True,
     }
+
+
+def test_ladder_tolerance_is_positive_and_finite(ou, periodic):
+    view = from_dt(-0.5, 0.0, 0.01)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="tol"):
+            pullback_stationary(ou, 0.1, 0, view, tol=tol)
+        with pytest.raises(InputError, match="tol"):
+            pullback_skeleton(periodic, None, view, tol=tol)
