@@ -22,6 +22,8 @@ class ConfigurationError(ToolkitError):
 class DivergenceError(ToolkitError):
     """State norm exploded during integration."""
 
+    row = None  # the first diverging row, when a block of rows was stepped
+
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
         self.step = step

@@ -33,17 +33,18 @@ CHECK_EVERY = 256
 
 @dataclass(frozen=True)
 class Path:
-    """States sampled at all grid points; shape (steps+1, dim)."""
+    """States sampled at all grid points; shape (steps+1, dim), or (steps+1, rows, dim)
+    for a block of rows that share the grid."""
 
     grid: TimeGrid
     states: np.ndarray
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 2 or states.shape[0] != self.grid.steps + 1:
+        if states.ndim not in (2, 3) or states.shape[0] != self.grid.steps + 1:
             raise InputError(
-                f"path states must have shape (steps+1, dim) = "
-                f"({self.grid.steps + 1}, dim), got {states.shape}"
+                f"path states must have shape (steps+1, dim) or (steps+1, rows, dim) "
+                f"with steps+1 = {self.grid.steps + 1}, got {states.shape}"
             )
         if not np.all(np.isfinite(states)):
             raise InputError("path contains non-finite states")
@@ -51,7 +52,7 @@ class Path:
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     def at(self, t: float) -> np.ndarray:
         return self.states[self.grid.index_of(t)]
@@ -62,7 +63,10 @@ class Path:
 
 
 def save_path(path: Path, filename) -> None:
-    """CSV with a time column and one column per state dimension."""
+    """CSV with a time column and one column per state dimension (one row per state)."""
+    if path.states.ndim != 2:
+        raise InputError(f"only a one-state path can be saved, got states of shape "
+                         f"{path.states.shape}")
     table = np.column_stack([path.grid.times(), path.states])
     header = "time," + ",".join(f"x{i + 1}" for i in range(path.dim))
     np.savetxt(filename, table, delimiter=",", fmt="%.17g", header=header, comments="")
@@ -96,6 +100,14 @@ def check_state(model: ModelSpec, x, what: str = "initial state") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError(f"{what} contains non-finite values")
     return x
+
+
+def _check_start(model: ModelSpec, x0) -> np.ndarray:
+    """x0 as one state (dim,) or a block (rows, dim) of them, each row checked by check_state."""
+    x = np.asarray(x0, dtype=np.float64)
+    if x.ndim == 2 and len(x):
+        return np.array([check_state(model, row) for row in x])
+    return check_state(model, x)
 
 
 def check_eps(model: ModelSpec, eps: float) -> None:
@@ -193,19 +205,25 @@ def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
 
 def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
                   drive: np.ndarray, what: str) -> Path:
-    """Path of x0 stepped by `advance` over `grid`, scanned for divergence per CHECK_EVERY steps."""
+    """Path of x0, one state or a block of rows, stepped by `advance` over `grid`, scanned
+    for divergence per CHECK_EVERY steps.  The error names the first diverging step and,
+    for a block, its first diverging row (also set as the error's `row`)."""
     x = x0.copy()  # stepped in place
     times = grid.times()
-    out = np.empty((grid.steps + 1, model.dim))
+    out = np.empty((grid.steps + 1, *x0.shape))
     out[0] = x
     for i in range(0, grid.steps, CHECK_EVERY):
         j = min(i + CHECK_EVERY, grid.steps)
         advance(model, x, times[i : j + 1], grid.dt, drive[i:j], out[i + 1 : j + 1])
-        bad = np.flatnonzero(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
-        if bad.size:
-            step = i + 1 + int(bad[0])
-            raise DivergenceError(f"{what} of '{model.name}' diverged at step {step} "
+        bad = np.argwhere(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
+        if len(bad):
+            step = i + 1 + int(bad[0, 0])
+            row = int(bad[0, 1]) if x0.ndim == 2 else None
+            label = what if row is None else f"{what} row {row}"
+            err = DivergenceError(f"{label} of '{model.name}' diverged at step {step} "
                                   f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
+            err.row = row
+            raise err
     return Path(grid, out)
 
 
@@ -213,10 +231,12 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
                 eps: float) -> Path:
     """Euler-Maruyama trajectory of the noisy equation on `grid`.
 
-    The noise record must cover the grid with the same spacing; its
-    increments are consumed mode-wise through the model's diffusion.
+    x0 is one state (dim,) or a block (rows, dim) of states that all start at
+    grid.t_start and share the noise.  The noise record must cover the grid with
+    the same spacing; its increments are consumed mode-wise through the model's
+    diffusion.
     """
-    x0 = check_state(model, x0)
+    x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
     check_eps(model, eps)
     if noise.modes != model.modes:
@@ -265,8 +285,9 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
 
 
 def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Path:
-    """Heun (explicit trapezoidal) trajectory of the controlled equation."""
-    x0 = check_state(model, x0)
+    """Heun (explicit trapezoidal) trajectory of the controlled equation; x0 is one
+    state or a block of rows sharing the control, as for em_step_sde."""
+    x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
     table = _control_table(model, grid, control)
     # each step is a one-step block of its own: one gemm over all steps rounds differently

@@ -259,6 +259,31 @@ def _make_hopf_radial(c: float = 1.0) -> ModelSpec:
     )
 
 
+def _dirichlet_lap(u, h: float) -> np.ndarray:
+    """(u[j+1] - 2 u[j] + u[j-1]) / h^2 along the last axis, zero past both ends."""
+    u = np.asarray(u, dtype=np.float64)
+    out = -2.0 * u
+    out[..., :-1] += u[..., 1:]
+    out[..., 1:] += u[..., :-1]
+    out /= h * h
+    return out
+
+
+def _dirichlet_dx(u, h: float) -> np.ndarray:
+    """(u[j+1] - u[j-1]) / 2h along the last axis, zero past both ends.
+
+    Fills in place what zeros + u[j+1] - u[j-1] gives: u[j+1] + 0.0 turns a
+    -0.0 into 0.0 just as the zeros did, so values and zero signs are the same.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty_like(u)
+    np.add(u[..., 1:], 0.0, out=out[..., :-1])
+    out[..., -1] = 0.0
+    np.subtract(out[..., 1:], u[..., :-1], out=out[..., 1:])
+    out /= 2.0 * h
+    return out
+
+
 def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
                     diffusion: str = "multiplicative") -> ModelSpec:
     """Viscous conservation-law model on (0, 1) with Dirichlet ends.
@@ -287,17 +312,10 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
     x = h * np.arange(1, n + 1)
 
     def lap(u):
-        out = -2.0 * np.asarray(u, dtype=np.float64)
-        out[..., :-1] += u[..., 1:]
-        out[..., 1:] += u[..., :-1]
-        return out / (h * h)
+        return _dirichlet_lap(u, h)
 
     def dx(u):
-        u = np.asarray(u, dtype=np.float64)
-        out = np.zeros_like(u)
-        out[..., :-1] += u[..., 1:]
-        out[..., 1:] -= u[..., :-1]
-        return out / (2.0 * h)
+        return _dirichlet_dx(u, h)
 
     def nonlinear(u):
         u = np.asarray(u, dtype=np.float64)
@@ -358,9 +376,16 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 # ---------------------------------------------------------------------------
 # registry
 
+def _number(value) -> float:
+    """value as a float; a boolean (YAML true/false) is refused, not read as 1/0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected a number, got the boolean {value!r}")
+    return float(value)
+
+
 def _real(value) -> float:
     """A finite real parameter; NaN and infinities are refused."""
-    x = float(value)
+    x = _number(value)
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
@@ -368,7 +393,7 @@ def _real(value) -> float:
 
 def _whole(value) -> int:
     """An integer-valued parameter; 20.9 is refused, not truncated."""
-    x = float(value)
+    x = _number(value)
     if not x.is_integer():
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(x)

@@ -8,6 +8,14 @@ on any fixed viewing window; the ladder's sup-norm gaps, their fitted
 log-linear decay rate, and the convergence verdict are returned as
 diagnostics next to the final trajectory.
 
+A ladder is integrated as one state whose rows are its rungs.  The
+longest grid is cut at each shorter rung's start step; each segment is
+one call of the traced stepper on the rows started so far plus one new
+row at rest, so every step is taken once for all rungs.  Each segment
+steps with its own grid's dt, which can differ from a whole rung's dt in
+the last bit, so ladder outputs can differ at the rounding level from
+integrating each rung alone.
+
 The same ladder applied to the controlled (noise-free) equation yields
 attracting deterministic structures, e.g. the periodic orbit of the
 periodically forced scalar model.
@@ -20,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, NonConvergenceError
+from .errors import DivergenceError, InputError, NonConvergenceError
 from .grids import TimeGrid, check_positive, ladder_steps, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
 from .models import ModelSpec, h_norm
@@ -64,25 +72,51 @@ def _ladder_grids(view: TimeGrid, horizons) -> list[TimeGrid]:
             for before in ladder_steps(horizons, dt, start=view.t_start)]
 
 
+def _segments(grids: list[TimeGrid]) -> list[TimeGrid]:
+    """The longest ladder grid cut at each shorter rung's start step, earliest first.
+
+    Segment k runs from the start of the (k+1)-th longest rung to the start of
+    the next shorter one; the last segment is the shortest rung's grid itself.
+    Every cut sits on the rungs' common lattice.
+    """
+    desc = grids[::-1]
+    return [TimeGrid(a.t_start, b.t_start, a.steps - b.steps)
+            for a, b in zip(desc, desc[1:])] + [desc[-1]]
+
+
 def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
-                integrate: Callable[[TimeGrid], Path], tol: float, seed=None):
-    """Integrate the ladder, measure view-window sup gaps, fit the decay rate."""
+                integrate: Callable[[np.ndarray, TimeGrid], Path], tol: float, seed=None):
+    """Integrate the ladder as one row block, measure view-window sup gaps, fit the decay rate.
+
+    `integrate(x0, grid)` steps a block x0 of rows over one segment.  Row r
+    is the rung with the r-th longest horizon: the longest rung starts alone,
+    and each shorter one joins as a new row at rest when its start step comes,
+    so every step is taken once for all rungs.
+    """
     check_positive(tol, "tol")
-    gaps = []
-    prev = None
-    for grid in grids:
-        restricted = integrate(grid).restrict(view)
-        if prev is not None:
-            gaps.append(float(np.max(h_norm(model, restricted.states - prev.states))))
-            if len(gaps) >= 2 and gaps[-1] >= gaps[-2] and gaps[-1] > tol:
-                raise NonConvergenceError(
-                    f"pullback gaps stopped decreasing: {gaps}; "
-                    "a longer first horizon or smaller dt may be needed",
-                    gaps=gaps,
-                    seed=seed,
-                )
-        prev = restricted
     horizons = [-g.t_start for g in grids]
+    x = np.empty((0, model.dim))
+    for k, segment in enumerate(_segments(grids)):
+        try:
+            path = integrate(np.vstack([x, model.pullback_init]), segment)
+        except DivergenceError as err:
+            rung = len(grids) - 1 - err.row  # its index in ascending horizon order
+            step = grids[rung].steps - grids[-1 - k].steps + err.step
+            raise DivergenceError(
+                f"pullback rung with horizon {horizons[rung]:g} of '{model.name}' diverged "
+                f"at step {step} (t = {err.time:.6g})", step=step, time=err.time) from None
+        x = path.states[-1]
+    rungs = path.restrict(view).states[:, ::-1]  # shortest horizon first
+    gaps = []
+    for i in range(1, len(grids)):
+        gaps.append(float(np.max(h_norm(model, rungs[:, i] - rungs[:, i - 1]))))
+        if len(gaps) >= 2 and gaps[-1] >= gaps[-2] and gaps[-1] > tol:
+            raise NonConvergenceError(
+                f"pullback gaps stopped decreasing: {gaps}; "
+                "a longer first horizon or smaller dt may be needed",
+                gaps=gaps,
+                seed=seed,
+            )
     positive = [(horizons[i], g) for i, g in enumerate(gaps) if g > 0.0]
     if len(positive) >= 2:
         xs = np.array([p[0] for p in positive])
@@ -93,13 +127,7 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
     converged = bool(gaps and gaps[-1] < tol)
     diag = PullbackDiag(horizons=horizons, gaps=gaps, fitted_rate=rate,
                         converged=converged)
-    return prev, diag
-
-
-def _em_rungs(model: ModelSpec, noise, eps: float) -> Callable[[TimeGrid], Path]:
-    """Rung integrator: EM from the rest state over `noise` on a ladder grid."""
-    return lambda grid: em_step_sde(model, model.pullback_init, grid,
-                                    noise.restrict(grid), eps)
+    return Path(view, rungs[:, -1].copy()), diag
 
 
 def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
@@ -114,7 +142,8 @@ def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
     noise = sample_noise(grids[-1], model.modes, seed)
-    return _run_ladder(model, view, grids, _em_rungs(model, noise, eps), tol, seed=seed)
+    return _run_ladder(model, view, grids,
+                       lambda x0, grid: em_step_sde(model, x0, grid, noise, eps), tol, seed)
 
 
 def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
@@ -123,11 +152,8 @@ def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
     if horizons is None:
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
-
-    def integrate(grid: TimeGrid) -> Path:
-        return integrate_skeleton(model, model.pullback_init, grid, control)
-
-    return _run_ladder(model, view, grids, integrate, tol)
+    return _run_ladder(model, view, grids,
+                       lambda x0, grid: integrate_skeleton(model, x0, grid, control), tol)
 
 
 def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
@@ -155,8 +181,9 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
     noise = sample_noise(grids_late[-1], model.modes, seed)
     noise_shifted = shift_noise(noise, s)
     late, _ = _run_ladder(model, shifted_view, grids_late,
-                          _em_rungs(model, noise, eps), tol, seed)
+                          lambda x0, grid: em_step_sde(model, x0, grid, noise, eps), tol, seed)
     base, _ = _run_ladder(model, view, grids_base,
-                          _em_rungs(model, noise_shifted, eps), tol, seed)
+                          lambda x0, grid: em_step_sde(model, x0, grid, noise_shifted, eps),
+                          tol, seed)
     return float(np.max(h_norm(model, late.states - base.states)))
 

@@ -405,6 +405,13 @@ CONFIG_MISTAKES = [
                                               "params": {"grid": 20, "K": 4.5}},
                                   grid=SMALL_BURGERS), [], 2, "InputError",
                  id="burgers-fractional-K"),
+    # a YAML boolean is no model number: true is not read as 1
+    pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": True}}), [], 2,
+                 "InputError", id="model-param-boolean"),
+    pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
+                                              "params": {"grid": 20, "K": True}},
+                                  grid=SMALL_BURGERS), [], 2, "InputError",
+                 id="burgers-boolean-K"),
     # a window 4e-5 steps off the dt lattice is refused, not stretched to fit
     pytest.param("simulate", dict(SIM, grid={"t_start": 0.0, "t_end": 0.5000004, "dt": 0.01}),
                  [], 2, "InputError", id="grid-off-lattice"),

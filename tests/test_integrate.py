@@ -378,3 +378,84 @@ def test_stability_ceiling_up_to_the_alignment_tolerance(burgers):
         pullback_stationary(burgers, 0.05, 0, TimeGrid(-20 * above, 0.0, 20),
                             horizons=[0.01, 0.02])
     assert f"stability ceiling {dt!r}" in str(exc.value)  # both numbers at repr precision
+
+
+# every shipped model plus additive burgers1d, as (name, params)
+BLOCK_MODELS = [
+    *(pytest.param((name, None), id=name) for name in
+      ("ou", "periodic1d", "linear2d-a1", "linear2d-a2", "hopf-radial", "burgers1d")),
+    pytest.param(("burgers1d", {"diffusion": "additive"}), id="burgers1d-additive"),
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_MODELS)
+def test_row_block_is_the_single_state_calls(spec):
+    # rows of a block start together and share the noise (or control); each row is
+    # its own single-state call
+    model = make_model(*spec)
+    dt = model.default_dt
+    grid = TimeGrid(-300 * dt, 0.0, 300)
+    rng = np.random.default_rng(8)
+    block = np.array([model.pullback_init, *(0.5 * model.sample_state(rng) for _ in range(2))])
+    noise = sample_noise(grid, model.modes, seed=6)
+    table = rng.normal(size=(grid.steps, model.modes))
+    runs = [(em_step_sde(model, block, grid, noise, 0.05),
+             [em_step_sde(model, row, grid, noise, 0.05) for row in block]),
+            (integrate_skeleton(model, block, grid, table),
+             [integrate_skeleton(model, row, grid, table) for row in block])]
+    for path, singles in runs:
+        assert path.states.shape == (grid.steps + 1, 3, model.dim) and path.dim == model.dim
+        expected = np.stack([p.states for p in singles], axis=1)
+        if model.name == "linear2d-a2":
+            # u @ A^T is a gemv for one row and a gemm for a block, which may round differently
+            assert np.max(np.abs(path.states - expected)) <= 1e-14
+        else:
+            assert np.array_equal(path.states, expected)
+
+
+def test_row_block_reports_the_diverging_row_and_step(ou):
+    # at dt = 2.05 an ou step maps x to -1.05 x + noise, so the row started
+    # largest crosses the blow-up norm first, after the first 256-step check
+    g = TimeGrid(0.0, 2.05 * 600, 600)
+    noise = sample_noise(g, 1, seed=2)
+    block = np.array([[1e-3], [1.0], [1e-3]])
+    steps = []
+    for row in block:
+        with pytest.raises(DivergenceError) as single:
+            em_step_sde(ou, row, g, noise, 0.1)
+        assert single.value.row is None and "row" not in str(single.value)
+        steps.append(single.value.step)
+    assert 256 < steps[1] < min(steps[0], steps[2])
+    with pytest.raises(DivergenceError) as exc:
+        em_step_sde(ou, block, g, noise, 0.1)
+    assert (exc.value.row, exc.value.step) == (1, steps[1])
+    assert exc.value.time == g.times()[steps[1]]
+    assert "trajectory row 1 of 'ou' diverged at step" in str(exc.value)
+    # the skeleton's block: x -> 1.05125 x, row 1 starts 1000 times higher
+    with pytest.raises(DivergenceError) as exc:
+        integrate_skeleton(ou, np.array([[1.0], [1e3], [1.0]]), g)
+    states = _heun_replay(ou, np.array([1e3]), g, np.zeros((g.steps, 1)))
+    assert exc.value.row == 1
+    assert exc.value.step == int(np.argmax(h_norm_sq(ou, states) > BLOWUP_NORM**2))
+
+
+def test_row_block_validation(ou, lin_a2):
+    g = from_dt(0.0, 0.1, 0.01)
+    noise = sample_noise(g, 2, seed=0)
+    with pytest.raises(InputError, match="non-finite"):
+        em_step_sde(lin_a2, np.array([[0.0, 0.0], [np.nan, 0.0]]), g, noise, 0.1)
+    with pytest.raises(InputError, match="must have shape"):
+        em_step_sde(lin_a2, np.zeros((3, 3)), g, noise, 0.1)
+    with pytest.raises(InputError, match="must have shape"):
+        integrate_skeleton(lin_a2, np.zeros((0, 2)), g)
+    # a block of one one-dimensional row is a block, not one state
+    path = integrate_skeleton(ou, np.array([[0.5]]), g)
+    assert path.states.shape == (g.steps + 1, 1, 1)
+
+
+def test_save_path_refuses_a_row_block(tmp_path, ou):
+    g = from_dt(0.0, 0.1, 0.01)
+    block = integrate_skeleton(ou, np.array([[0.5], [1.0]]), g)
+    with pytest.raises(InputError, match="one-state path"):
+        save_path(block, tmp_path / "block.csv")
+    assert not (tmp_path / "block.csv").exists()

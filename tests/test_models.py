@@ -278,3 +278,56 @@ def test_non_finite_parameters_are_refused(name, key):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InputError, match=f"parameter '{key}'"):
             make_model(name, {key: value})
+
+
+def test_boolean_parameters_are_refused():
+    # a YAML true would otherwise read as 1: ou with a = 1, burgers1d with one mode
+    for name, key in [("ou", "a"), ("linear2d-a2", "beta"), ("burgers1d", "K"),
+                      ("burgers1d", "grid")]:
+        for value in (True, False, np.True_):
+            with pytest.raises(InputError, match=f"parameter '{key}'.*boolean"):
+                make_model(name, {key: value})
+
+
+def _old_lap(u, h):
+    out = -2.0 * np.asarray(u, dtype=np.float64)
+    out[..., :-1] += u[..., 1:]
+    out[..., 1:] += u[..., :-1]
+    return out / (h * h)
+
+
+def _old_dx(u, h):
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(u)
+    out[..., :-1] += u[..., 1:]
+    out[..., 1:] -= u[..., :-1]
+    return out / (2.0 * h)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("diffusion", ["multiplicative", "additive"])
+def test_burgers_stencils_equal_the_zero_filled_formulas(diffusion):
+    # the in-place stencils against the zeros-then-add forms they replace: equal
+    # values and equal zero signs on states full of 0.0 and -0.0
+    from ldpkit.models import _dirichlet_dx, _dirichlet_lap
+
+    model = make_model("burgers1d", {"grid": 12, "K": 5, "diffusion": diffusion})
+    h = model.mass
+    rng = np.random.default_rng(11)
+    for k in range(400):
+        shape = (model.dim,) if k % 2 else (3, model.dim)
+        u = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape) * rng.uniform(0.0, 1.0, size=shape)
+        u[rng.random(size=shape) < 0.3] = -0.0
+        y = rng.choice([0.0, -0.0, 0.5], size=shape)
+        dx, lap = _old_dx(u, h), _old_lap(u, h)
+        nonlinear = (u * dx + _old_dx(u * u, h)) / 3.0
+        jacT = _old_lap(y, h) + (dx * y - _old_dx(u * y, h) - 2.0 * u * _old_dx(y, h)) / 3.0
+        assert _same_bits(_dirichlet_dx(u, h), dx)
+        assert _same_bits(_dirichlet_lap(u, h), lap)
+        assert _same_bits(model.linear(u), lap)
+        assert _same_bits(model.nonlinear(u), nonlinear)
+        assert _same_bits(drift(model, u, 0.0), lap + nonlinear)
+        assert _same_bits(model.drift_jacT(u, 0.0, y), jacT)

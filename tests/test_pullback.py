@@ -2,22 +2,28 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ldpkit import (
     ConfigurationError,
+    DivergenceError,
     InputError,
     NonConvergenceError,
     Path,
     PullbackDiag,
     TimeGrid,
+    em_step_sde,
     from_dt,
+    h_norm,
+    make_model,
     pullback_skeleton,
     pullback_stationary,
     sample_noise,
     stationarity_check,
     write_json,
 )
-from ldpkit.pullback import _ladder_grids, _run_ladder, default_horizons
+from ldpkit.grids import step_offset
+from ldpkit.pullback import _ladder_grids, _run_ladder, _segments, default_horizons
 
 
 def test_default_horizons(ou, hopf):
@@ -127,9 +133,10 @@ def test_non_convergence_raised():
     view = from_dt(-1.0, 0.0, 0.01)
     grids = _ladder_grids(view, [2.0, 3.0, 4.0])
 
-    def stuck(grid):
-        # trajectory value equals the start time: constant unit gaps
-        return Path(grid, np.full((grid.steps + 1, 1), grid.t_start))
+    def stuck(x0, grid):
+        # row r holds the value r throughout: constant unit gaps
+        rows = np.arange(len(x0), dtype=np.float64)[:, None]
+        return Path(grid, np.broadcast_to(rows, (grid.steps + 1, *rows.shape)))
 
     with pytest.raises(NonConvergenceError) as exc:
         _run_ladder(model, view, grids, stuck, tol=1e-4, seed=77)
@@ -175,3 +182,74 @@ def test_ladder_tolerance_is_positive_and_finite(ou, periodic):
             pullback_stationary(ou, 0.1, 0, view, tol=tol)
         with pytest.raises(InputError, match="tol"):
             pullback_skeleton(periodic, None, view, tol=tol)
+
+
+def _ladder_rows(model, eps, noise, view, grids):
+    """The ladder's rung rows on the view (shortest horizon first), its path and diagnostics."""
+    last = []
+
+    def integrate(x0, grid):
+        last[:] = [em_step_sde(model, x0, grid, noise, eps)]
+        return last[0]
+
+    path, diag = _run_ladder(model, view, grids, integrate, tol=10.0)
+    return last[0].restrict(view).states[:, ::-1], path, diag
+
+
+def _check_ladder_against_rungs(model, eps, seed, view, grids):
+    noise = sample_noise(grids[-1], model.modes, seed)
+    rows, path, diag = _ladder_rows(model, eps, noise, view, grids)
+    for i, grid in enumerate(grids):
+        ref = em_step_sde(model, model.pullback_init, grid, noise, eps).restrict(view).states
+        assert np.max(np.abs(rows[:, i] - ref)) <= 1e-12 * np.max(np.abs(ref)), (i, grid)
+    assert path.grid == view and np.array_equal(path.states, rows[:, -1])
+    assert diag.gaps == [float(np.max(h_norm(model, rows[:, i] - rows[:, i - 1])))
+                         for i in range(1, len(grids))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["ou", "periodic1d", "hopf-radial", "linear2d-a1"]),
+       dt=st.floats(0.002, 0.05), first=st.integers(-40, 10), steps=st.integers(1, 40),
+       lead=st.floats(0.0, 1.0), widths=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_segments_tile_the_longest_rung(name, dt, first, steps, lead, widths, seed):
+    view = TimeGrid(first * dt, (first + steps) * dt, steps)
+    horizons = list(np.cumsum([max(0.0, -view.t_start) + lead, *widths]))
+    try:
+        grids = _ladder_grids(view, horizons)
+    except InputError:
+        assume(False)  # not a ladder ladder_steps accepts
+    segments = _segments(grids)
+    longest = grids[-1]
+    assert sum(s.steps for s in segments) == longest.steps
+    assert segments[-1] == grids[0]
+    offset = 0
+    for segment, rung in zip(segments, grids[::-1]):
+        assert step_offset(longest, segment) == offset == step_offset(longest, rung)
+        offset += segment.steps
+    model = make_model(name)
+    _check_ladder_against_rungs(model, min(0.1, model.eps0), seed, view, grids)
+
+
+def test_rungs_one_step_apart(hopf, periodic):
+    # two rungs whose starts are one step apart leave a one-step segment
+    view = from_dt(-0.5, 0.5, 0.01)
+    grids = _ladder_grids(view, [1.0, 1.01, 2.0])
+    assert [s.steps for s in _segments(grids)] == [99, 1, 150]
+    for model in (hopf, periodic):
+        _check_ladder_against_rungs(model, 0.05, 4, view, grids)
+
+
+def test_ladder_divergence_names_the_rung(ou):
+    # at dt = 2.05 every rung blows up; the longest has grown the most, so it is named,
+    # at the step its own single-state run reports
+    view = TimeGrid(-2.05 * 10, 0.0, 10)
+    horizons = [2.05 * 300, 2.05 * 400, 2.05 * 500]
+    grids = _ladder_grids(view, horizons)
+    with pytest.raises(DivergenceError) as single:
+        em_step_sde(ou, ou.pullback_init, grids[-1], sample_noise(grids[-1], 1, 9), 0.1)
+    with pytest.raises(DivergenceError) as exc:
+        pullback_stationary(ou, 0.1, 9, view, horizons=horizons)
+    assert exc.value.step == single.value.step
+    assert exc.value.time == pytest.approx(single.value.time, rel=1e-12)
+    assert f"rung with horizon {-grids[-1].t_start:g}" in str(exc.value)
