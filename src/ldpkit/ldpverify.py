@@ -160,8 +160,6 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
     rest state until its start step.  Increments come in windows.
     """
     n = len(seeds)
-    if n == 1:  # one-row matrix products round differently (gemv): pad to two rows
-        return _pullback_rows(model, eps, np.repeat(seeds, 2), steps_list, dt)[:, :1]
     starts = sorted(-steps for steps in steps_list)
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
     for w0 in range(starts[0], 0, _WINDOW):
@@ -292,6 +290,27 @@ class SlopeFit:
         }
 
 
+def line_fit(x, y, w=None) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (x, y), as np.polyfit(x, y, 1, w=w)
+    fits it: residual i is weighted by w[i], its square by w[i]**2 (all 1 without w).
+
+    Centred normal equations whose every sum is a math.fsum, the exact sum of its
+    terms rounded once, so the fit does not depend on the order of the points or on
+    a BLAS kernel.  Needs two distinct x.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    ws = [1.0] * len(x) if w is None else [float(v) ** 2 for v in w]
+    total = math.fsum(ws)
+    xm = math.fsum(a * b for a, b in zip(ws, x, strict=True)) / total
+    ym = math.fsum(a * b for a, b in zip(ws, y, strict=True)) / total
+    dx = [v - xm for v in x]
+    sxx = math.fsum(a * d * d for a, d in zip(ws, dx))
+    sxy = math.fsum(a * d * (v - ym) for a, d, v in zip(ws, dx, y))
+    slope = sxy / sxx
+    return slope, ym - slope * xm
+
+
 def ldp_slope(estimates, reference: float) -> SlopeFit:
     """Weighted linear fit of eps*log p_hat in eps, extrapolated to 0.
 
@@ -315,7 +334,7 @@ def ldp_slope(estimates, reference: float) -> SlopeFit:
             for e in usable
         ]
     )
-    slope, intercept = np.polyfit(eps, y, 1, w=1.0 / sigma)
+    slope, intercept = line_fit(eps, y, w=1.0 / sigma)
     resid = y - (intercept + slope * eps)
     order = np.argsort(eps)
     e1, e2 = eps[order[0]], eps[order[1]]

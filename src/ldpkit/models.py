@@ -210,12 +210,18 @@ def _make_linear2d(variant: str, lam: float = 0.3, beta: float = 2.0) -> ModelSp
         raise InputError(f"linear2d needs lambda > 0, got {lam}")
     if variant == "a1":
         mat = -lam * np.eye(2)
-        # u0*(-lam) + u1*0 is -lam*u0 exactly: the elementwise form skips the gemm
+        # u0*(-lam) + u1*0 is -lam*u0 exactly
         linear = lambda u: -lam * u
     elif variant == "a2":
         mat = np.array([[-lam, -beta], [beta, -lam]])
-        # an elementwise form of the rotation rounds differently from the gemm
-        linear = lambda u: u @ mat.T
+
+        def linear(u):
+            """(-lam u0 - beta u1, -lam u1 + beta u0), in this order for any row count."""
+            u = np.asarray(u, dtype=np.float64)
+            out = -lam * u
+            out[..., 0] -= beta * u[..., 1]
+            out[..., 1] += beta * u[..., 0]
+            return out
     else:  # pragma: no cover - registry controls the variant string
         raise InputError(f"unknown linear2d variant {variant!r}")
     return ModelSpec(

@@ -23,6 +23,7 @@ periodically forced scalar model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import DivergenceError, InputError, NonConvergenceError
 from .grids import TimeGrid, check_positive, ladder_steps, whole_steps
 from .integrate import Path, check_eps, em_step_sde, integrate_skeleton
+from .ldpverify import line_fit
 from .models import ModelSpec, h_norm
 from .noise import sample_noise, shift_noise
 
@@ -119,9 +121,8 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
             )
     positive = [(horizons[i], g) for i, g in enumerate(gaps) if g > 0.0]
     if len(positive) >= 2:
-        xs = np.array([p[0] for p in positive])
-        ys = np.log([p[1] for p in positive])
-        rate = float(np.polyfit(xs, ys, 1)[0])
+        # math.log: numpy's log rounds differently on its AVX-512 path
+        rate = line_fit([p[0] for p in positive], [math.log(p[1]) for p in positive])[0]
     else:
         rate = None
     converged = bool(gaps and gaps[-1] < tol)

@@ -3,8 +3,10 @@
 Every check prints `[criterion NN] PASS/FAIL <measured numbers>` so the
 suite's output doubles as a run report (use `pytest -v -s` to see the
 lines as they appear).  All randomness is frozen: the Monte Carlo
-criteria use fixed base seeds, so a pass here is reproducible bit for
-bit on any machine with the same dependency versions.
+criteria use fixed base seeds.  Stepping, sampling and fits are
+reproducible bit for bit on any BLAS kernel, BLAS thread count and SIMD
+level, given the same numpy and scipy; minimum-action numbers keep
+LAPACK (solveh_banded) and are reproducible to tolerance.
 """
 
 import math

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from ldpkit import (
@@ -20,8 +21,8 @@ from ldpkit import (
     save_estimates,
     wilson_interval,
 )
-from ldpkit import ldpverify
-from ldpkit.ldpverify import _WINDOW, _Z95
+from ldpkit import ldpverify, make_model
+from ldpkit.ldpverify import _WINDOW, _Z95, line_fit
 
 
 def test_wilson_interval_values():
@@ -104,7 +105,7 @@ def test_sampling_is_deterministic_and_seed_sensitive(ou):
     assert a.shape == (64, 1)
 
 
-def test_sampling_frozen_values(ou, lin_a1):
+def test_sampling_frozen_values(ou, lin_a1, lin_a2):
     # frozen-seed samples are part of the reproducibility contract: a faster
     # engine must reproduce these bytes exactly
     def sha256(a):
@@ -114,6 +115,12 @@ def test_sampling_frozen_values(ou, lin_a1):
         "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc")
     assert sha256(sample_stationary(lin_a1, 0.2, 64, seed=5, dt=0.005)) == (
         "03afdb8ee19056a69b7fecfc377f7127f54221e2265e7011231cccd6d4c00b5e")
+    # the rotation and the non-identity mode matrix: fixed-order products
+    assert sha256(sample_stationary(lin_a2, 0.2, 64, seed=5, dt=0.005)) == (
+        "8ac47f6aee83db26b92d185a50de8ca015475f2c6d9597d1b954ba918cf3aa3a")
+    small = make_model("burgers1d", {"grid": 19, "K": 8})
+    assert sha256(sample_stationary(small, 0.05, 8, seed=3)) == (
+        "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d")
 
 
 def test_sampling_chunking_invariance(ou, all_models):
@@ -122,9 +129,7 @@ def test_sampling_chunking_invariance(ou, all_models):
     b = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01, chunk_target=2_000)
     assert np.array_equal(a, b)
     # every model, over two noise windows with a horizon joining inside the
-    # first: 5 samples in chunks of 2, 2 and 1 against one chunk of 5.  On
-    # linear2d-a2 a one-row state would take the gemv path of the matrix
-    # product, whose rounding differs from the batched (gemm) rows.
+    # first: 5 samples in chunks of 2, 2 and 1 against one chunk of 5
     for model in all_models:
         dt = model.max_stable_dt or 10 * model.default_dt
         kw = dict(dt=dt, horizons=[600 * dt, 1300 * dt], tol=1.0)
@@ -273,6 +278,34 @@ def test_ldp_slope_exactness_with_synthetic_points():
     assert fit.intercept == pytest.approx(-0.3, abs=1e-10)
     assert fit.slope == pytest.approx(0.0, abs=1e-9)
     assert max(abs(r) for r in fit.residuals) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+def test_line_fit_is_polyfit_in_any_order(n, seed, weighted):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, n)
+    x[1] = x[0] + 0.5  # two distinct abscissae
+    y = rng.uniform(-1.0, 1.0) * x + rng.uniform(-2.0, 2.0) + rng.normal(0.0, 0.3, n)
+    w = rng.uniform(0.1, 10.0, n) if weighted else None
+    fit = line_fit(x, y, w)
+    oracle = np.polyfit(x, y, 1, w=w)
+    scale = np.abs(oracle) + np.max(np.abs(y))  # a coefficient near 0 has no relative digits
+    assert np.all(np.abs(np.array(fit) - oracle) <= 1e-12 * scale)
+    # exact sums: a permutation of the points gives the same bits
+    order = rng.permutation(n)
+    assert line_fit(x[order], y[order], None if w is None else w[order]) == fit
+
+
+def test_line_fit_exact_lines():
+    # the points of test_full_space_event_has_zero_rate and of the synthetic
+    # estimates: intercepts 0 and -0.3, slope 0
+    assert line_fit([0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == (0.0, 0.0)
+    eps = [0.4, 0.2, 0.1]
+    slope, intercept = line_fit(eps, [e * math.log(math.exp(-0.3 / e)) for e in eps])
+    assert intercept == pytest.approx(-0.3, abs=1e-15)
+    assert slope == pytest.approx(0.0, abs=1e-14)
+    assert line_fit([1.0, 2.0, 4.0], [3.0, 5.0, 9.0], [1.0, 3.0, 0.5]) == (2.0, 1.0)
 
 
 def test_ldp_slope_insufficient_data():

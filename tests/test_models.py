@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ldpkit import (
     InputError,
@@ -91,20 +91,33 @@ _ROWS = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40).map(np.arra
 @given(u=_ROWS, lam=st.floats(1e-3, 1e3))
 def test_planar_linear_parts_equal_their_matrix_products(u, lam):
     # a1 is written -lam*u: u0*(-lam) + u1*0 is the same number (== compares
-    # signed zeros equal, and x + dt*(+-0) is the same x); a2 keeps the gemm,
-    # as an elementwise rotation rounds differently
+    # signed zeros equal, and x + dt*(+-0) is the same x)
     a1 = make_model("linear2d-a1", {"lambda": lam})
     assert np.array_equal(drift(a1, u, 0.0), u @ (-lam * np.eye(2)).T)
-    a2 = make_model("linear2d-a2")
-    assert np.array_equal(drift(a2, u, 0.0), u @ np.array([[-0.3, -2.0], [2.0, -0.3]]).T)
 
 
-def test_a2_linear_part_is_the_gemm(lin_a2):
-    # rows of like magnitude, where an elementwise rotation rounds differently
-    u = np.random.default_rng(0).uniform(-2.0, 2.0, size=(4096, 2))
-    mat = np.array([[-0.3, -2.0], [2.0, -0.3]])
-    assert np.array_equal(drift(lin_a2, u, 0.0), u @ mat.T)
-    assert not np.array_equal(drift(lin_a2, u, 0.0), u[:, :1] * mat[:, 0] + u[:, 1:] * mat[:, 1])
+# magnitudes whose products with lambda and beta stay finite and normal
+_MODERATE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, 1e100),
+                      st.floats(-1e100, -1e-100))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=st.lists(st.tuples(_MODERATE, _MODERATE), min_size=1, max_size=40).map(np.array),
+       lam=st.floats(1e-3, 1e3), beta=st.floats(-1e3, 1e3))
+@example(u=np.random.default_rng(0).uniform(-2.0, 2.0, size=(4096, 2)), lam=0.3, beta=2.0)
+def test_a2_linear_part_is_the_rotation(u, lam, beta):
+    # a2 is (-lam u0 - beta u1, -lam u1 + beta u0) in this order, values and
+    # zero signs, for a block and for each of its rows alone
+    a2 = make_model("linear2d-a2", {"lambda": lam, "beta": beta})
+    expected = np.stack([-lam * u[:, 0] - beta * u[:, 1],
+                         -lam * u[:, 1] + beta * u[:, 0]], axis=-1)
+    block = drift(a2, u, 0.0)
+    assert np.array_equal(block, expected)
+    assert np.array_equal(np.signbit(block), np.signbit(expected))
+    for i in (0, len(u) // 2, len(u) - 1):
+        row = drift(a2, u[i], 0.0)
+        assert np.array_equal(row, block[i])
+        assert np.array_equal(np.signbit(row), np.signbit(block[i]))
 
 
 def test_drift_shape_validation(ou):
