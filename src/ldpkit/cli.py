@@ -19,7 +19,8 @@ before it starts work, so a config and a library call get one answer.
 
 Exit codes: 0 success, 2 validation problems (bad config, bad files),
 3 numerical failures (blow-up, non-convergence, stalled descent), with
-a one-line JSON reason on stderr.
+a one-line JSON reason on stderr.  Each error class carries its code as
+`exit_code` (see `errors`).
 """
 
 from __future__ import annotations
@@ -36,23 +37,12 @@ import yaml
 from . import ldpverify, mam, pullback
 from .action import action as compute_action
 from .action import load_control, save_control
-from .errors import (
-    DivergenceError,
-    InputError,
-    InsufficientDataError,
-    NonConvergenceError,
-    NonInvertibleDiffusionError,
-    OptimizationStalledError,
-    ToolkitError,
-)
+from .errors import InputError, NonConvergenceError, ToolkitError
 from .grids import from_dt
 from .integrate import em_step_sde, integrate_skeleton, load_path, save_path, write_json
 from .models import make_model, model_names
 from .noise import sample_noise
 
-_NUMERICAL_ERRORS = (DivergenceError, NonConvergenceError,
-                     OptimizationStalledError, NonInvertibleDiffusionError,
-                     InsufficientDataError)
 _REQUIRED = object()  # the default of a key that every config must give
 
 
@@ -341,8 +331,8 @@ def main(argv=None) -> int:
     except (ToolkitError, yaml.YAMLError, OSError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
-        # numerical failures exit 3; validation, config and I/O errors exit 2
-        return 3 if isinstance(err, _NUMERICAL_ERRORS) else 2
+        # each error class carries its code (errors); YAML and I/O errors exit 2
+        return err.exit_code if isinstance(err, ToolkitError) else 2
 
 
 if __name__ == "__main__":

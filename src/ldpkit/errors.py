@@ -1,14 +1,17 @@
 """Exception taxonomy shared by the toolkit.
 
-Every class derives from ToolkitError.  The command line maps them to
-exit codes through one table, `cli._NUMERICAL_ERRORS`: the numerical
-failures it lists (divergence, non-convergence, stalled optimization,
-...) exit 3; every other ToolkitError, a validation problem, exits 2.
+Every class derives from ToolkitError.  Each class carries the exit code
+the command line returns for it, so this module is the one table that maps
+errors to exit codes: a validation problem exits 2 (ToolkitError's
+`exit_code`), and the numerical failures (divergence, non-convergence,
+stalled optimization, ...) set `exit_code = 3`.
 """
 
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class InputError(ToolkitError):
@@ -22,6 +25,7 @@ class ConfigurationError(ToolkitError):
 class DivergenceError(ToolkitError):
     """State norm exploded during integration."""
 
+    exit_code = 3
     row = None  # the first diverging row, when a block of rows was stepped
 
     def __init__(self, message, step=None, time=None):
@@ -33,6 +37,8 @@ class DivergenceError(ToolkitError):
 class NonConvergenceError(ToolkitError):
     """Pullback horizon ladder failed to contract."""
 
+    exit_code = 3
+
     def __init__(self, message, gaps=None, seed=None):
         super().__init__(message)
         self.gaps = list(gaps) if gaps is not None else None
@@ -42,9 +48,13 @@ class NonConvergenceError(ToolkitError):
 class NonInvertibleDiffusionError(ToolkitError):
     """Diffusion factor too close to zero to recover a control."""
 
+    exit_code = 3
+
 
 class OptimizationStalledError(ToolkitError):
     """Line search failed; carries the best iterate seen so far."""
+
+    exit_code = 3
 
     def __init__(self, message, path=None, value=None):
         super().__init__(message)
@@ -54,3 +64,5 @@ class OptimizationStalledError(ToolkitError):
 
 class InsufficientDataError(ToolkitError):
     """Not enough usable points for a requested fit."""
+
+    exit_code = 3

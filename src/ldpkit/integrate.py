@@ -8,8 +8,9 @@ controlled (skeleton) equation.
 f is the full drift A u + F(u) + g(t).  The skeleton scheme is the one
 the action discretization (midpoint inversion) is consistent with.
 
-Both run on one engine: a drive built once by mode_drive, a kernel (em_advance,
-heun_advance) with one kick rule b(x) d, and one loop scanning for divergence.
+Both run on one engine: per CHECK_EVERY steps, the batched sampler's cadence too, one
+loop builds the drive by mode_drive, steps it with a kernel (em_advance, heun_advance;
+one kick rule b(x) d) and scans for divergence.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .grids import (_ALIGN_RTOL, TimeGrid, check_positive, same_spacing, step_of
 from .models import ModelSpec, drift, h_norm_sq
 from .noise import NoisePath
 
-# Trajectories whose H-norm passes this are declared divergent; EM
-# callers test for it once every CHECK_EVERY steps.
+# Trajectories whose H-norm passes this are declared divergent.  Every
+# stepping loop draws its drive, steps and tests for it per CHECK_EVERY steps.
 BLOWUP_NORM = 1e6
 CHECK_EVERY = 256
 
@@ -205,8 +206,9 @@ def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
 
 
 def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
-                  drive: np.ndarray, what: str) -> Path:
-    """Path of x0, one state or a block of rows, stepped by `advance` over `grid`, scanned
+                  inc: np.ndarray, eps: float, what: str) -> Path:
+    """Path of x0, one state or a block of rows, stepped by `advance` over `grid` on the drive
+    of inc ((steps, K) increments or controls) at strength eps, built, stepped and scanned
     for divergence per CHECK_EVERY steps.  The error names the first diverging step and,
     for a block, its first diverging row (also set as the error's `row`)."""
     x = x0.copy()  # stepped in place
@@ -215,7 +217,8 @@ def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
     out[0] = x
     for i in range(0, grid.steps, CHECK_EVERY):
         j = min(i + CHECK_EVERY, grid.steps)
-        advance(model, x, times[i : j + 1], grid.dt, drive[i:j], out[i + 1 : j + 1])
+        advance(model, x, times[i : j + 1], grid.dt, mode_drive(model, eps, inc[None, i:j]),
+                out[i + 1 : j + 1])
         bad = np.argwhere(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
         if len(bad):
             step = i + 1 + int(bad[0, 0])
@@ -244,8 +247,8 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
         raise InputError(
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
-    drive = mode_drive(model, eps, noise.restrict(grid).increments[None])
-    return _checked_path(model, em_advance, x0, grid, drive, "trajectory")
+    return _checked_path(model, em_advance, x0, grid, noise.restrict(grid).increments, eps,
+                         "trajectory")
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
@@ -290,6 +293,5 @@ def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Pa
     state or a block of rows sharing the control, as for em_step_sde."""
     x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
-    table = _control_table(model, grid, control)
-    drive = mode_drive(model, 1.0, table[None])
-    return _checked_path(model, heun_advance, x0, grid, drive, "skeleton trajectory")
+    return _checked_path(model, heun_advance, x0, grid, _control_table(model, grid, control),
+                         1.0, "skeleton trajectory")

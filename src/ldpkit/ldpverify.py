@@ -25,10 +25,10 @@ from .errors import DivergenceError, InputError, InsufficientDataError, NonConve
 from .grids import check_positive, ladder_steps
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_advance, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
-from .noise import derive_seed, derive_seeds_from, gaussian_block
+from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_block
 
 _Z95 = 1.959963984540054
-_WINDOW = 1024  # steps of increments generated at once per chunk
+_DRIVE_WORDS = 4_000_000  # drive words of one check interval, summed over a seed chunk
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,12 @@ class Event:
 
     @classmethod
     def coord_ge(cls, index: int, threshold: float) -> "Event":
+        index = _as_int("coordinate index", index)
         if index < 0:
             raise InputError(f"coordinate index must be non-negative, got {index}")
         if math.isnan(threshold):
             raise InputError("coordinate threshold is NaN")
-        return cls(kind="coord_ge", threshold=float(threshold), index=int(index))
+        return cls(kind="coord_ge", threshold=float(threshold), index=index)
 
     @classmethod
     def box(cls, lo, hi) -> "Event":
@@ -157,37 +158,35 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
 
     The horizons are blocks of rows of one state that share each step's
     drive, so all see the same realization per seed; a block holds the
-    rest state until its start step.  Increments come in windows.
+    rest state until its start step.  The noise comes one check interval
+    at a time: a window ends after each step j with j % CHECK_EVERY == 0,
+    and at 0, where the longest horizon is checked for divergence.
     """
     n = len(seeds)
     starts = sorted(-steps for steps in steps_list)
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
-    for w0 in range(starts[0], 0, _WINDOW):
-        w1 = min(w0 + _WINDOW, 0)
+    ends = [*range(starts[0] + (-starts[0]) % CHECK_EVERY + 1, 0, CHECK_EVERY), 0]
+    for w0, w1 in zip([starts[0], *ends], ends):
         drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt),
                            _overwrite=True)  # the block is this loop's own
-        # segments end where a block joins and after each step j with
-        # j % CHECK_EVERY == 0, where the longest horizon is checked
-        checks = range(w0 + (-w0) % CHECK_EVERY + 1, w1 + 1, CHECK_EVERY)
-        cuts = sorted({w0, w1, *checks, *(s for s in starts if w0 < s < w1)})
+        cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
         for j0, j1 in zip(cuts, cuts[1:]):
             rows = n * sum(s <= j0 for s in starts)
             em_advance(model, x[:rows], np.arange(j0, j1) * dt, dt,
                        drive[j0 - w0 : j1 - w0])
-            if j1 in checks or j1 == 0:
-                bad = worst_blowup(model, x[:n])
-                if bad is not None:
-                    t = (j1 - 1) * dt
-                    raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
-                                          f"t = {t:.6g}; smaller dt or eps needed",
-                                          step=j1 - 1 - starts[0], time=t)
         del drive  # release it before the next window's noise is drawn
+        bad = worst_blowup(model, x[:n])
+        if bad is not None:
+            t = (w1 - 1) * dt
+            raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
+                                  f"t = {t:.6g}; smaller dt or eps needed",
+                                  step=w1 - 1 - starts[0], time=t)
     return x.reshape(len(starts), n, model.dim)
 
 
 def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
                       dt: Optional[float] = None, horizons=None,
-                      tol: float = 1e-3, chunk_target: int = 4_000_000) -> np.ndarray:
+                      tol: float = 1e-3) -> np.ndarray:
     """Independent stationary states at time 0; shape (n_samples, dim).
 
     Each sample integrates its own derived-seed realization from two
@@ -195,7 +194,8 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     must fall below `tol` or the offending seed is reported.
     """
     check_eps(model, eps)
-    if not n_samples >= 1:
+    n_samples = _as_int("sample count", n_samples)
+    if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     check_positive(tol, "tol")
     if dt is None:
@@ -206,8 +206,8 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     steps_list = ladder_steps(horizons, dt, least=1)
 
     seeds = derive_seeds_from(seed, 0, n_samples)
-    per_sample = min(_WINDOW, steps_list[-1]) * max(model.modes, model.dim)
-    chunk = max(1, min(n_samples, chunk_target // per_sample))
+    per_sample = min(CHECK_EVERY, steps_list[-1]) * max(model.modes, model.dim)
+    chunk = max(1, min(n_samples, _DRIVE_WORDS // per_sample))
     samples = np.empty((n_samples, model.dim))
     for start in range(0, n_samples, chunk):
         sl = slice(start, min(start + chunk, n_samples))

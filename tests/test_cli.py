@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ldpkit import Path, from_dt, load_path, make_model, save_path
+from ldpkit import Path, ToolkitError, from_dt, load_path, make_model, save_path
 from ldpkit.cli import _COMMANDS, _EVENT_KEYS, _parse_block, main
 from ldpkit.mam import _MAX_ITER
 
@@ -561,3 +561,29 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, command, index, where):
         code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2 and len(err.splitlines()) == 1, (value, err)
         assert stderr_json(err)["error"] in ("InputError", "ConfigurationError"), (value, err)
+
+
+NUMERICAL = {"DivergenceError", "NonConvergenceError", "NonInvertibleDiffusionError",
+             "OptimizationStalledError", "InsufficientDataError"}
+
+
+def _error_classes(cls=ToolkitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch):
+    # numerical failures exit 3, every other ToolkitError exits 2
+    classes = list(_error_classes())
+    assert NUMERICAL | {"ToolkitError", "InputError", "ConfigurationError"} == {
+        cls.__name__ for cls in classes}
+    cfg = write_config(tmp_path, "sim.yaml", SIM)
+    for cls in classes:
+        def run_body(parsed, files, cls=cls):
+            raise cls("raised by the run body")
+
+        monkeypatch.setitem(_COMMANDS, "simulate", _COMMANDS["simulate"]._replace(run=run_body))
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == (3 if cls.__name__ in NUMERICAL else 2), cls.__name__
+        assert stderr_json(err) == {"error": cls.__name__, "message": "raised by the run body"}

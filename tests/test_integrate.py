@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ def test_divergence_reported(burgers, ou):
     assert 256 < step < 512
     assert exc.value.step == step
     assert exc.value.time == g.times()[step]
+
+
+def test_stepping_frozen_values(burgers):
+    # frozen-seed paths over two whole check intervals and a partial third:
+    # drawing the drive per interval must reproduce these bytes exactly
+    def sha256(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    dt = burgers.default_dt
+    grid = TimeGrid(-700 * dt, 0.0, 700)
+    x0 = np.sin(np.linspace(0.3, 3.0, burgers.dim)) * 0.5
+    noise = sample_noise(grid, burgers.modes, 4)
+    assert sha256(em_step_sde(burgers, x0, grid, noise, burgers.default_eps).states) == (
+        "01de9f89c64f8db900bf66589ff43bbf444e98c7a57c3aafae93bf4d678a09e1")
+    table = np.cos(np.arange(700 * burgers.modes) * 0.37).reshape(700, burgers.modes)
+    assert sha256(integrate_skeleton(burgers, x0, grid, table).states) == (
+        "71323aba0e9f9d985276c31a92e2afebbc45f984f33cf41ec292a73bedb593c9")
 
 
 def test_save_load_roundtrip(tmp_path, lin_a2):

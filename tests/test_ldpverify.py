@@ -22,7 +22,8 @@ from ldpkit import (
     wilson_interval,
 )
 from ldpkit import ldpverify, make_model
-from ldpkit.ldpverify import _WINDOW, _Z95, line_fit
+from ldpkit.integrate import CHECK_EVERY
+from ldpkit.ldpverify import _Z95, line_fit
 
 
 def test_wilson_interval_values():
@@ -123,20 +124,23 @@ def test_sampling_frozen_values(ou, lin_a1, lin_a2):
         "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d")
 
 
-def test_sampling_chunking_invariance(ou, all_models):
+def test_sampling_chunking_invariance(ou, all_models, monkeypatch):
     # chunk boundaries must not change the stream
     a = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01)
-    b = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01, chunk_target=2_000)
+    with monkeypatch.context() as m:
+        m.setattr(ldpverify, "_DRIVE_WORDS", 2_000)  # chunks of 7 samples, the last of 1
+        b = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01)
     assert np.array_equal(a, b)
-    # every model, over two noise windows with a horizon joining inside the
-    # first: 5 samples in chunks of 2, 2 and 1 against one chunk of 5
+    # every model, over six check intervals with a horizon joining inside the
+    # third: 5 samples in chunks of 2, 2 and 1 against one chunk of 5
     for model in all_models:
         dt = model.max_stable_dt or 10 * model.default_dt
         kw = dict(dt=dt, horizons=[600 * dt, 1300 * dt], tol=1.0)
         one = sample_stationary(model, model.default_eps, 5, seed=8, **kw)
-        pair = 2 * _WINDOW * max(model.modes, model.dim)  # two samples per chunk
-        chunked = sample_stationary(model, model.default_eps, 5, seed=8,
-                                    chunk_target=pair, **kw)
+        pair = 2 * CHECK_EVERY * max(model.modes, model.dim)  # two samples per chunk
+        with monkeypatch.context() as m:
+            m.setattr(ldpverify, "_DRIVE_WORDS", pair)
+            chunked = sample_stationary(model, model.default_eps, 5, seed=8, **kw)
         assert np.array_equal(one, chunked), model.name
 
 
@@ -181,6 +185,32 @@ def test_sampling_reports_divergence(ou):
         sample_stationary(ou, 0.1, 4, seed=0, dt=2.5, horizons=[100, 200])
     assert exc.value.step == 79
     assert exc.value.time == -2.5
+
+
+def test_sampling_divergence_after_many_check_intervals(ou):
+    # at dt = 2.02 an EM step maps x to -1.02 x + noise; the longest horizon
+    # (3000 steps) is checked after each step j with j % CHECK_EVERY == 0 and
+    # is first seen past the blow-up norm after step -2304, 696 steps in
+    with pytest.raises(DivergenceError) as exc:
+        sample_stationary(ou, 0.1, 3, seed=0, dt=2.02,
+                          horizons=[1200 * 2.02, 3000 * 2.02])
+    assert exc.value.step == 696
+    assert exc.value.time == -4654.08
+
+
+def test_integer_arguments_refuse_floats_and_bools(ou):
+    # refused as the CLI refuses them, not truncated or left to a TypeError
+    for index in (1.5, 0.9, True):
+        with pytest.raises(InputError, match="coordinate index must be an integer"):
+            Event.coord_ge(index, 0.3)
+    for n in (2.5, True):
+        with pytest.raises(InputError, match="sample count must be an integer"):
+            sample_stationary(ou, 0.1, n, 0)
+    # numpy integers are integers
+    event = Event.coord_ge(np.int64(1), 0.3)
+    assert event == Event.coord_ge(1, 0.3) and type(event.index) is int
+    assert np.array_equal(sample_stationary(ou, 0.1, np.int64(4), 0, dt=0.01),
+                          sample_stationary(ou, 0.1, 4, 0, dt=0.01))
 
 
 def test_sampling_reports_non_convergence(ou):
