@@ -9,11 +9,12 @@ the transition cost from rest, which is also the rate at which the
 stationary distribution's mass decays near the target as the noise
 strength goes to zero.
 
-Each control v_i depends on the two states u_i and u_{i+1} only, so the
-Gauss-Newton matrix of the discrete action is block-tridiagonal.  The
-descent is a Levenberg-Marquardt-damped Gauss-Newton iteration, one
-banded Cholesky solve per trial step, stopped on the exact gradient of
-the discretized functional.
+Each control v_i depends on the two states u_i and u_{i+1} only.  The
+descent is a Levenberg-Marquardt-damped Gauss-Newton iteration, stopped
+on the exact gradient of the discretized functional.  Each trial step is
+solved over the controls rather than the states: the system has K x K
+blocks on the noise modes, so it is one banded Cholesky solve with lower
+bandwidth 2K - 1, whatever the state dimension.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import ConfigurationError, InputError, OptimizationStalledError
 from .grids import TimeGrid, check_horizons, check_positive
 from .integrate import Path, check_state, integrate_skeleton
 from .models import ModelSpec
+from .noise import _as_int
 
 # a horizon is solved once every interior gradient entry is this small
 _GTOL = 1e-6
@@ -93,15 +95,28 @@ def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,
     return states
 
 
-def _gn_band(A: np.ndarray, B: np.ndarray, dt: float) -> np.ndarray:
-    """Lower band (2 dim rows) of dt * sum_i J_i^T J_i over the interior states."""
-    nb, dim = A.shape[0] - 1, A.shape[2]
-    cols = np.zeros((nb, 3 * dim, dim))  # block column p: rows p*dim .. p*dim + 3 dim
-    At, Bt = A.transpose(0, 2, 1), B.transpose(0, 2, 1)
-    cols[:, :dim] = dt * (At[1:] @ A[1:] + Bt[:-1] @ B[:-1])
-    cols[:-1, dim:2 * dim] = dt * (Bt[1:-1] @ A[1:-1])
-    d, b = np.ogrid[:2 * dim, :dim]
-    return cols[:, b + d, b].transpose(1, 0, 2).reshape(2 * dim, nb * dim)
+def _gn_step(v: np.ndarray, A: np.ndarray, B: np.ndarray, dt: float,
+             shift: float) -> np.ndarray:
+    """Damped Gauss-Newton step -(dt J^T J + shift I)^{-1} dt J^T v, solved over the controls.
+
+    J maps the interior states to the controls: v_i has blocks A_i at u_i and
+    B_i at u_{i+1}, with A_0 and B_{steps-1} dropped at the pinned endpoints.
+    The same step is -J^T y with (dt J J^T + shift I) y = dt v, a
+    block-tridiagonal system of K x K blocks whose lower band is 2K rows.
+    Returns the step for the interior states, shape (steps - 1, dim).
+    """
+    steps, K = v.shape
+    Bt = B.transpose(0, 2, 1)
+    cols = np.zeros((steps, 3 * K, K))  # block column i: rows i*K .. i*K + 3K
+    cols[1:, :K] = A[1:] @ A[1:].transpose(0, 2, 1)
+    cols[:-1, :K] += B[:-1] @ Bt[:-1]
+    cols[:-1, K:2 * K] = A[1:] @ Bt[:-1]
+    cols *= dt
+    d, b = np.ogrid[:2 * K, :K]
+    band = cols[:, b + d, b].transpose(1, 0, 2).reshape(2 * K, steps * K)
+    band[0] += shift
+    y = solveh_banded(band, dt * v.ravel(), lower=True, check_finite=False).reshape(steps, K)
+    return -(y[1:, None, :] @ A[1:] + y[:-1, None, :] @ B[:-1])[:, 0]
 
 
 def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
@@ -118,33 +133,33 @@ def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
         )
     target = check_state(model, target, "target")
     check_positive(T, "horizon")
-    if not grid_steps >= 2:
+    grid_steps = _as_int("step count", grid_steps)
+    if grid_steps < 2:
         raise InputError(f"need at least 2 steps to have interior states, got {grid_steps}")
-    grid = TimeGrid(-float(T), 0.0, int(grid_steps))
+    grid = TimeGrid(-float(T), 0.0, grid_steps)
     path = Path(grid, _initial_states(model, target, grid, init))
     value, grad = value_and_gradient(model, path)
     damp = _DAMP_START
     for it in range(_MAX_ITER):
-        g = grad[1:-1].ravel()
+        g = grad[1:-1]
         if np.max(np.abs(g)) <= _GTOL:
             return path, value, it, True
-        _, A, B = control_jacobian(model, path)
-        band = _gn_band(A, B, grid.dt)
-        diag, scale = band[0].copy(), np.max(band[0])
+        v, A, B = control_jacobian(model, path)
+        # the largest diagonal entry of dt J^T J
+        scale = grid.dt * np.max(np.sum(A[1:] ** 2, axis=1) + np.sum(B[:-1] ** 2, axis=1))
         while True:
-            band[0] = diag + damp * scale
             try:
-                step = solveh_banded(band, -g, lower=True, check_finite=False)
+                step = _gn_step(v, A, B, grid.dt, damp * scale)
             except np.linalg.LinAlgError:
                 step = np.full_like(g, np.nan)
             trial = path.states.copy()
-            trial[1:-1] += step.reshape(-1, model.dim)
+            trial[1:-1] += step
             if np.all(np.isfinite(trial)):
                 trial = Path(grid, trial)
                 trial_value, trial_grad = value_and_gradient(model, trial)
                 if trial_value < value:
                     # Nielsen's update from actual over predicted decrease
-                    gain = (value - trial_value) / (0.5 * step @ (damp * scale * step - g))
+                    gain = (value - trial_value) / (0.5 * np.vdot(step, damp * scale * step - g))
                     damp = max(damp * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3),
                                _DAMP_FLOOR)
                     path, value, grad = trial, trial_value, trial_grad

@@ -325,7 +325,8 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 
     def nonlinear(u):
         u = np.asarray(u, dtype=np.float64)
-        return (u * dx(u) + dx(u * u)) / 3.0
+        du, duu = dx(np.stack((u, u * u)))
+        return (u * du + duu) / 3.0
 
     def jacT(u, t, y):
         u = np.asarray(u, dtype=np.float64)
@@ -335,7 +336,7 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
     if diffusion == "multiplicative":
         def factor(u):
             u = np.asarray(u, dtype=np.float64)
-            return d0 / (1.0 + h * np.sum(u * u, axis=-1))
+            return d0 / (1.0 + h * np.add.reduce(u * u, axis=-1))
 
         def grad_factor(u):
             u = np.asarray(u, dtype=np.float64)

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from ldpkit import (
     ConfigurationError,
+    HypothesisConstants,
     InputError,
+    ModelSpec,
     OptimizationStalledError,
     Path,
     TimeGrid,
@@ -15,7 +18,9 @@ from ldpkit import (
     quasipotential,
     write_json,
 )
-from ldpkit.mam import default_t_schedule, solve_horizon
+from ldpkit.action import control_jacobian, value_and_gradient
+from ldpkit.mam import _gn_step, default_t_schedule, solve_horizon
+from ldpkit.models import drift
 
 
 def ou_finite_horizon_cost(a, x, T):
@@ -82,6 +87,13 @@ def test_input_validation(ou, periodic, lin_a2):
         minimize_action(ou, [1.0], 2.0, 1)
     with pytest.raises(InputError):
         minimize_action(ou, [1.0], 2.0, 50, init="bogus")
+    # a step count is a whole number, never truncated or overflowed
+    for steps in (30.7, 30.0, float("inf"), True):
+        with pytest.raises(InputError) as exc:
+            minimize_action(ou, [1.0], 2.0, steps)
+        assert exc.value.exit_code == 2
+    _, value = minimize_action(ou, [1.0], 2.0, np.int64(30))
+    assert value == minimize_action(ou, [1.0], 2.0, 30)[1]
     with pytest.raises(InputError):
         minimize_action(
             ou, [1.0], 2.0, 50,
@@ -221,3 +233,87 @@ def test_quasipotential_refuses_non_finite_settings(ou):
             quasipotential(ou, [1.0], **kwargs)
     with pytest.raises(InputError):
         solve_horizon(ou, [1.0], nan, 50)
+
+
+def _dense_control_jacobian(A, B):
+    """J over the interior states: control row block i holds A_i at u_i and B_i at u_{i+1}."""
+    steps, K, dim = A.shape
+    J = np.zeros((steps * K, (steps - 1) * dim))
+    for i in range(steps):
+        if i > 0:
+            J[i * K:(i + 1) * K, (i - 1) * dim:i * dim] = A[i]
+        if i < steps - 1:
+            J[i * K:(i + 1) * K, i * dim:(i + 1) * dim] = B[i]
+    return J
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ou", {}),
+    ("linear2d-a2", {}),
+    ("burgers1d", {"grid": 19, "K": 8}),
+    ("burgers1d", {"grid": 19, "K": 8, "diffusion": "additive"}),
+])
+def test_gauss_newton_step_solves_the_dense_normal_equations(name, params, monkeypatch):
+    # the step solved over the controls equals -(dt J^T J + shift I)^{-1} g
+    # with g the exact action gradient, on a path off the minimizer
+    import ldpkit.mam
+
+    model = make_model(name, params)
+    rng = np.random.default_rng(4)
+    grid = TimeGrid(-0.6, 0.0, 30)
+    states = np.linspace(0.0, 1.0, 31)[:, None] * rng.uniform(-0.3, 0.3, model.dim)
+    states[1:-1] += 0.05 * rng.normal(size=(29, model.dim))
+    path = Path(grid, states)
+    g = value_and_gradient(model, path)[1][1:-1].ravel()
+    v, A, B = control_jacobian(model, path)
+    J = _dense_control_jacobian(A, B)
+    gn = grid.dt * J.T @ J
+    scale = np.max(np.diag(gn))
+    bands = []
+    real = ldpkit.mam.solveh_banded
+    monkeypatch.setattr("ldpkit.mam.solveh_banded",
+                        lambda band, *a, **k: bands.append(band.shape) or real(band, *a, **k))
+    for rel in (1e-6, 1e-2, 1.0):
+        shift = rel * scale
+        step = _gn_step(v, A, B, grid.dt, shift)
+        dense = np.linalg.solve(gn + shift * np.eye(len(g)), -g)
+        assert step.shape == (grid.steps - 1, model.dim)
+        assert np.linalg.norm(step.ravel() - dense) <= 1e-8 * np.linalg.norm(dense)
+    # one band of 2K rows over steps * K controls, not 2 dim rows over the states
+    K = model.modes
+    assert bands == [(2 * K, grid.steps * K)] * 3
+
+
+def _gaussian_rate_matrix(model):
+    """C^{-1} for the invariant covariance C of the linearization: A C + C A^T + QQ^T = 0."""
+    A = drift(model, np.eye(model.dim), 0.0).T
+    Q = model.mode_matrix * model.mode_weights
+    return np.linalg.inv(solve_continuous_lyapunov(A, -Q @ Q.T))
+
+
+def _non_normal_model():
+    # R (-D + N) R^T with N strictly upper triangular: Hurwitz, eigenvalues -D
+    rng = np.random.default_rng(8)
+    R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    D = np.array([0.5, 0.8, 1.5])
+    M = R @ (np.triu(rng.uniform(-2.0, 2.0, (3, 3)), 1) - np.diag(D)) @ R.T
+    modes = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return ModelSpec(
+        name="linear3d", dim=3, linear=lambda u: u @ M.T, drift_jacT=lambda u, t, y: y @ M,
+        constants=HypothesisConstants(lam=D.min(), c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
+        state_box=(-2.0, 2.0), relax_rate=D.min(), mode_matrix=modes,
+        mode_weights=np.array([1.0, 0.7, 1.3]))
+
+
+@pytest.mark.parametrize("name", ["ou", "linear2d-a1", "linear2d-a2", "non-normal 3x3"])
+def test_quasipotential_equals_the_gaussian_rate(name):
+    # for linear drift the invariant law is N(0, eps C), so the transition
+    # cost from rest is V(x) = x^T C^{-1} x / 2
+    model = _non_normal_model() if name == "non-normal 3x3" else make_model(name)
+    P = _gaussian_rate_matrix(model)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        x = rng.uniform(-1.5, 1.5, model.dim)
+        res = quasipotential(model, x)
+        assert res.converged
+        assert res.converged_value == pytest.approx(0.5 * x @ P @ x, rel=1e-4)
