@@ -10,7 +10,9 @@ the action discretization (midpoint inversion) is consistent with.
 
 Both run on one engine: per CHECK_EVERY steps, the batched sampler's cadence too, one
 loop builds the drive by mode_drive, steps it with a kernel (em_advance, heun_advance;
-one kick rule b(x) d) and scans for divergence.
+one kick rule b(x) d) and scans for divergence.  A model may bring its own EM kernel
+with em_advance's contract and values (ModelSpec.em_kernel, burgers1d's fused step);
+em_stepper is the one place that picks it, for em_step_sde and the batched sampler.
 """
 
 from __future__ import annotations
@@ -188,6 +190,17 @@ def em_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
                 path[i] = x
 
 
+def em_stepper(model: ModelSpec):
+    """The EM kernel for `model`: its own fused em_kernel while the spec keeps the
+    linear, nonlinear and diffusion terms that kernel was built from and has no
+    forcing, else the generic em_advance."""
+    fused = model.em_kernel
+    if fused is None or not model.autonomous:
+        return em_advance
+    terms = (model.linear, model.nonlinear, model.diffusion_factor)
+    return fused if all(a is b for a, b in zip(fused.terms, terms)) else em_advance
+
+
 def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
                  drive: np.ndarray, path=None) -> None:
     """em_advance's Heun twin on f(x, t) + b(x) drive; times[i + 1] ends step i."""
@@ -247,8 +260,8 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
         raise InputError(
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
-    return _checked_path(model, em_advance, x0, grid, noise.restrict(grid).increments, eps,
-                         "trajectory")
+    return _checked_path(model, em_stepper(model), x0, grid, noise.restrict(grid).increments,
+                         eps, "trajectory")
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
 from .grids import check_positive, ladder_steps
-from .integrate import CHECK_EVERY, check_dt, check_eps, em_advance, mode_drive, worst_blowup
+from .integrate import CHECK_EVERY, check_dt, check_eps, em_stepper, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
 from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_block
 
@@ -166,14 +166,14 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
     starts = sorted(-steps for steps in steps_list)
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
     ends = [*range(starts[0] + (-starts[0]) % CHECK_EVERY + 1, 0, CHECK_EVERY), 0]
+    advance = em_stepper(model)
     for w0, w1 in zip([starts[0], *ends], ends):
         drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt),
                            _overwrite=True)  # the block is this loop's own
         cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
         for j0, j1 in zip(cuts, cuts[1:]):
             rows = n * sum(s <= j0 for s in starts)
-            em_advance(model, x[:rows], np.arange(j0, j1) * dt, dt,
-                       drive[j0 - w0 : j1 - w0])
+            advance(model, x[:rows], np.arange(j0, j1) * dt, dt, drive[j0 - w0 : j1 - w0])
         del drive  # release it before the next window's noise is drawn
         bad = worst_blowup(model, x[:n])
         if bad is not None:

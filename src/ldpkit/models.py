@@ -90,6 +90,9 @@ class ModelSpec:
     default_dt: float = 1e-3
     pullback_init: Optional[np.ndarray] = None  # start state for pullback integrations; None is 0
     max_stable_dt: Optional[float] = None  # explicit-step stability ceiling, None if unconstrained
+    # (model, x, times, dt, drive, path) -> None: em_advance fused for the terms named in its
+    # .terms, (linear, nonlinear, diffusion_factor); None is the generic em_advance
+    em_kernel: Optional[Callable] = None
 
     def __post_init__(self):
         if self.mode_matrix is None:
@@ -325,7 +328,10 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 
     def nonlinear(u):
         u = np.asarray(u, dtype=np.float64)
-        du, duu = dx(np.stack((u, u * u)))
+        pair = np.empty((2, *u.shape))
+        pair[0] = u
+        np.multiply(u, u, out=pair[1])
+        du, duu = dx(pair)
         return (u * du + duu) / 3.0
 
     def jacT(u, t, y):
@@ -333,7 +339,8 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         y = np.asarray(y, dtype=np.float64)
         return lap(y) + (dx(u) * y - dx(u * y) - 2.0 * u * dx(y)) / 3.0
 
-    if diffusion == "multiplicative":
+    multiplicative = diffusion == "multiplicative"
+    if multiplicative:
         def factor(u):
             u = np.asarray(u, dtype=np.float64)
             return d0 / (1.0 + h * np.add.reduce(u * u, axis=-1))
@@ -346,6 +353,73 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         beta0 = d0
     else:
         factor, grad_factor, beta0 = _unit_factor, _zero_gradient, 0.0
+
+    def em_kernel(model, x, times, dt, drive, path=None):
+        """em_advance on these terms, one fused pass per step, bit for bit.
+
+        Every element gets em_advance's operations in its order, on buffers and
+        views made once per call, where most passes run over one flat array:
+        - The state's rows sit between -0.0 ends.  x + -0.0 is x for every x, so
+          lap's neighbour sums over the flat rows are the generic ones, which
+          skip the missing neighbour.
+        - pad holds u + 0.0 and u*u between +0.0 ends, so one flat subtraction
+          ahead - behind gives D of both: with a minuend that is not -0.0,
+          subtracting y + 0.0 is subtracting y.  u*u also gives b(u).
+        """
+        rows, blocks = x.size // n, drive.shape[1]
+        two_h, h_sq = 2.0 * h, h * h
+        state = np.full((rows, n + 2), -0.0)
+        inner = state[:, 1:-1]
+        u = inner.reshape(x.shape)  # the state in x's shape, as em_advance steps it
+        u[...] = x
+        pad = np.zeros((2, rows, n + 2))
+        u_plus0, sq = pad  # u + 0.0 turns -0.0 into +0.0
+        sq_inner = sq[:, 1:-1]
+        diff = np.zeros((2, rows, n + 2))  # its first and last entries are never written
+        du, duu = diff  # du becomes F(u)
+        f = np.empty((rows, n + 2))
+        f_inner = f[:, 1:-1]
+        # flat views, ends and row seams included; what lands on an end is never read
+        right, left = state.ravel()[1:], state.ravel()[:-1]
+        ahead, behind = pad.ravel()[2:], pad.ravel()[:-2]
+        diff_mid = diff.ravel()[1:-1]
+        f_lo, f_hi = f.ravel()[:-1], f.ravel()[1:]
+        kick = np.full((rows, n + 2), -0.0)  # b(u) d between -0.0 ends
+        kick_rows = kick.reshape(-1, blocks, n + 2)[..., 1:-1]
+        state_rows = state.reshape(-1, blocks, n + 2)[..., 1:-1]
+        b = np.empty(rows)
+        b_rows = b.reshape(-1, blocks, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, d in enumerate(drive):
+                np.multiply(state, state, out=sq)
+                if multiplicative:  # d0 / (1 + h |u|^2)
+                    np.add.reduce(sq_inner, axis=-1, out=b)
+                    np.multiply(b, h, out=b)
+                    np.add(b, 1.0, out=b)
+                    np.divide(d0, b, out=b)
+                    np.multiply(b_rows, d, out=kick_rows)
+                np.add(state, 0.0, out=u_plus0)
+                np.subtract(ahead, behind, out=diff_mid)
+                np.divide(diff, two_h, out=diff)
+                np.multiply(du, state, out=du)
+                np.add(du, duu, out=du)
+                np.divide(du, 3.0, out=du)
+                np.multiply(state, -2.0, out=f)
+                np.add(f_lo, right, out=f_lo)
+                np.add(f_hi, left, out=f_hi)
+                np.divide(f, h_sq, out=f)
+                np.add(f, du, out=f)
+                np.multiply(f, dt, out=f)
+                np.add(inner, f_inner, out=inner)
+                if multiplicative:
+                    np.add(state, kick, out=state)
+                else:
+                    np.add(state_rows, d, out=state_rows)
+                if path is not None:
+                    path[i] = u
+        x[...] = u
+
+    em_kernel.terms = (lap, nonlinear, factor)
 
     def vnorm_sq(u):
         u = np.asarray(u, dtype=np.float64)
@@ -377,6 +451,7 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         default_eps=0.05,
         default_dt=h * h / 4.0,
         max_stable_dt=h * h / 2.0,
+        em_kernel=em_kernel,
     )
 
 

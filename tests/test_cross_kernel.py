@@ -46,6 +46,7 @@ def digests() -> dict:
     grid = TimeGrid(-300 * dt, 0.0, 300)
     x0 = np.sin(np.linspace(0.0, 3.0, small.dim))
     table = np.cos(np.arange(grid.steps * small.modes)).reshape(grid.steps, small.modes)
+    block = np.array([x0, -0.5 * x0, small.pullback_init])
     view = TimeGrid(-40 * dt, 0.0, 40)
     path, diag = pullback_stationary(small, 0.05, 2, view, horizons=[0.3, 0.6, 1.2])
     ests = [make_estimate(eps, "t", 1000, hits)
@@ -57,6 +58,9 @@ def digests() -> dict:
                                                    horizons=[0.3, 0.6], tol=1.0)),
         "em burgers1d": _sha(em_step_sde(small, x0, grid, sample_noise(grid, small.modes, 1),
                                          0.05).states),
+        # the fused step's b(u) sums u*u over the rows of a padded buffer
+        "em burgers1d block": _sha(em_step_sde(small, block, grid,
+                                               sample_noise(grid, small.modes, 2), 0.05).states),
         "pullback burgers1d": _sha(path.states) + repr(diag.to_dict()),
         "skeleton burgers1d": _sha(integrate_skeleton(small, x0, grid, table).states),
         "ldp_slope": repr(ldp_slope(ests, 0.3).to_dict()),

@@ -21,11 +21,12 @@ from ldpkit import (
     make_model,
     pullback_stationary,
     sample_noise,
+    sample_stationary,
     save_path,
 )
 import ldpkit.pullback
 from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
-                              mode_drive)
+                              em_stepper, mode_drive)
 from ldpkit.noise import gaussian_block
 
 
@@ -199,6 +200,29 @@ def test_stepping_frozen_values(burgers):
     table = np.cos(np.arange(700 * burgers.modes) * 0.37).reshape(700, burgers.modes)
     assert sha256(integrate_skeleton(burgers, x0, grid, table).states) == (
         "71323aba0e9f9d985276c31a92e2afebbc45f984f33cf41ec292a73bedb593c9")
+
+
+@pytest.mark.parametrize("diffusion, ladder, samples", [
+    ("multiplicative", "5767531c5d6ba2e05fc141d95fe764ee8af6e31742c5f773401179d624cb3536",
+     "9f758cb8427802295509cfe1676df1b063edecf1f64940d0b4e408610f7f2146"),
+    ("additive", "c3139e13e6284e9316bb63889f3bcac454a5f3bf03f36a7301c33af951a8fab2",
+     "720d31c04d8ecd107fc7709194691545173d11dd1ca1117fb6facef9b6250029"),
+])
+def test_pullback_and_sampler_frozen_values(diffusion, ladder, samples):
+    # frozen-seed burgers1d outputs of the two block steppers: a three-rung
+    # ladder (its view path and gaps) and the sampler over more than two
+    # check intervals, pinned before the fused EM kernel replaced the generic step
+    def sha256(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    small = make_model("burgers1d", {"grid": 19, "K": 8, "diffusion": diffusion})
+    dt = small.default_dt
+    view = TimeGrid(-40 * dt, 0.0, 40)
+    path, diag = pullback_stationary(small, 0.05, 7, view, horizons=[0.3, 0.6, 1.2], tol=1e-3)
+    assert diag.converged
+    assert sha256(np.append(path.states, diag.gaps)) == ladder
+    assert sha256(sample_stationary(small, 0.05, 3, seed=11, horizons=[0.2, 0.4],
+                                    tol=1.0)) == samples
 
 
 def test_save_load_roundtrip(tmp_path, lin_a2):
@@ -480,3 +504,82 @@ def test_save_path_refuses_a_row_block(tmp_path, ou):
     with pytest.raises(InputError, match="one-state path"):
         save_path(block, tmp_path / "block.csv")
     assert not (tmp_path / "block.csv").exists()
+
+
+def _rest_with_signed_zeros(dim):
+    """A start at rest whose zeros carry both signs, -0.0 next to +0.0 at each end."""
+    x = np.zeros(dim)
+    x[1::3] = -0.0
+    x[-2] = -0.0
+    x[-1] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("diffusion", ["multiplicative", "additive"])
+@pytest.mark.parametrize("grid", [19, 64])
+@pytest.mark.parametrize("blocks, seeds", [(1, 1), (3, 1), (2, 5), (1, 7)])
+@pytest.mark.parametrize("start", ["rest", "random"])
+def test_fused_burgers_step_is_em_advance(diffusion, grid, blocks, seeds, start):
+    # blocks of rows share a drive row per seed, as ladders (3 x 1) and the
+    # sampler (horizons x seeds) lay them out; from rest the first 300 steps
+    # run at eps 0, whose drive is made of signed zeros
+    model = make_model("burgers1d", {"grid": grid, "K": 8, "diffusion": diffusion})
+    generic = dataclasses.replace(model, em_kernel=None)
+    assert em_stepper(model) is model.em_kernel and em_stepper(generic) is em_advance
+    dt = model.default_dt
+    inc = gaussian_block(np.arange(1, seeds + 1, dtype=np.uint64), -640, 640, model.modes, dt)
+    eps = (0.0 if start == "rest" else 0.05, 0.05)
+    drive = np.concatenate([mode_drive(model, eps[0], inc[:, :300]),
+                            mode_drive(model, eps[1], inc[:, 300:])])
+    times = np.arange(-640, 0) * dt
+    if start == "rest":
+        x0 = np.tile(_rest_with_signed_zeros(model.dim), (blocks * seeds, 1))
+    else:
+        x0 = np.random.default_rng(grid + seeds).uniform(-1.0, 1.0, (blocks * seeds, model.dim))
+    if blocks * seeds == 1:
+        x0 = x0[0]  # a single state, as em_step_sde passes one
+    runs = []
+    for m in (model, generic):
+        x = x0.copy()
+        path = np.empty((len(times), *x0.shape))
+        # two calls, as the check intervals cut a run
+        em_stepper(m)(m, x, times[:256], dt, drive[:256], path[:256])
+        em_stepper(m)(m, x, times[256:], dt, drive[256:], path[256:])
+        runs.append((x.tobytes(), path.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_fused_step_only_for_the_terms_it_was_built_from(burgers, all_models):
+    assert em_stepper(burgers) is burgers.em_kernel
+    assert all(em_stepper(m) is em_advance for m in all_models if m.name != "burgers1d")
+    variants = {
+        "diffusion_factor": lambda u: np.ones(np.shape(u)[:-1]),
+        "linear": lambda u: burgers.linear(u),
+        "nonlinear": lambda u: burgers.nonlinear(u),
+        "forcing": lambda t: np.zeros(np.shape(t) + (burgers.dim,)),
+    }
+    for field, term in variants.items():
+        assert em_stepper(dataclasses.replace(burgers, **{field: term})) is em_advance, field
+    additive = make_model("burgers1d", {"diffusion": "additive"})
+    assert em_stepper(additive) is additive.em_kernel
+    # each spec's kernel belongs to its own terms: another spec's is refused
+    assert em_stepper(dataclasses.replace(additive, em_kernel=burgers.em_kernel)) is em_advance
+
+
+def test_fused_step_reports_the_same_divergence():
+    # row 1 starts past the explicit step's reach and blows up within the
+    # first check interval; both steppers name the same step, time and row
+    model = make_model("burgers1d", {"grid": 19, "K": 8})
+    generic = dataclasses.replace(model, em_kernel=None)
+    dt = model.max_stable_dt
+    grid = TimeGrid(0.0, 600 * dt, 600)
+    noise = sample_noise(grid, model.modes, seed=5)
+    shape = np.sin(np.linspace(0.2, 3.0, model.dim))
+    block = np.array([0.5 * shape, 110.0 * shape, shape])
+    errors = []
+    for m in (model, generic):
+        with pytest.raises(DivergenceError) as exc:
+            em_step_sde(m, block, grid, noise, 0.05)
+        errors.append((exc.value.step, exc.value.time, exc.value.row, str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == 1 and errors[0][0] > 1
