@@ -51,6 +51,12 @@ class TimeGrid:
         """The steps interval midpoints."""
         return self.t_start + self.dt * (np.arange(self.steps) + 0.5)
 
+    def tail(self, steps: int) -> "TimeGrid":
+        """The grid's last `steps` steps, a sub-grid on its lattice ending at t_end."""
+        if steps == self.steps:
+            return self
+        return TimeGrid(self.t_end - steps * self.dt, self.t_end, steps)
+
     def index_of(self, t: float) -> int:
         """Grid point index of time t; t must sit on the grid."""
         i = whole_steps((t - self.t_start) / self.dt, f"time {t} is not a point of {self}")

@@ -10,7 +10,9 @@ the action discretization (midpoint inversion) is consistent with.
 
 Both run on one engine: per CHECK_EVERY steps, the batched sampler's cadence too, one
 loop builds the drive by mode_drive, steps it with a kernel (em_advance, heun_advance;
-one kick rule b(x) d) and scans for divergence.  A model may bring its own EM kernel
+one kick rule b(x) d) and scans for divergence.  It keeps only a record window that
+ends at the grid's end, stepping earlier states into one reusable scratch block, so a
+long run costs the memory of its window.  A model may bring its own EM kernel
 with em_advance's contract and values (ModelSpec.em_kernel, burgers1d's fused step);
 em_stepper is the one place that picks it, for em_step_sde and the batched sampler.
 """
@@ -218,21 +220,45 @@ def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
                 path[i] = x
 
 
+def _record_offset(grid: TimeGrid, window: TimeGrid) -> int:
+    """Step of `grid` at which the record window starts; InputError unless the window
+    is the grid's last window.steps steps, both its ends on the grid's lattice.
+
+    Its ends are placed by whole_steps, whose tolerance grows with the step index:
+    a one-step tail of a long grid far from t = 0 lands on its step although its own
+    dt, a difference of two large times, is further off than same_spacing allows."""
+    off = grid.steps - window.steps
+    wrong = (f"record window [{window.t_start}, {window.t_end}] is not the last "
+             f"{window.steps} steps of {grid}: it must lie on its lattice and end at t_end")
+    ends = [whole_steps((t - grid.t_start) / grid.dt, wrong)
+            for t in (window.t_start, window.t_end)]
+    if off < 0 or ends != [off, grid.steps]:
+        raise InputError(wrong)
+    return off
+
+
 def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
-                  inc: np.ndarray, eps: float, what: str) -> Path:
-    """Path of x0, one state or a block of rows, stepped by `advance` over `grid` on the drive
-    of inc ((steps, K) increments or controls) at strength eps, built, stepped and scanned
-    for divergence per CHECK_EVERY steps.  The error names the first diverging step and,
-    for a block, its first diverging row (also set as the error's `row`)."""
+                  inc: np.ndarray, eps: float, what: str, window) -> Path:
+    """Path on `window` (a sub-grid ending at grid.t_end, or all of `grid`) of x0, one state
+    or a block of rows, stepped by `advance` over `grid` on the drive of inc ((steps, K)
+    increments or controls) at strength eps, built, stepped and scanned for divergence per
+    CHECK_EVERY steps.  Steps before the window go into one reusable CHECK_EVERY scratch
+    block, scanned alike.  The error names the first diverging step and, for a block, its
+    first diverging row (also set as the error's `row`)."""
+    window = grid if window is None else window
+    start = _record_offset(grid, window)
     x = x0.copy()  # stepped in place
     times = grid.times()
-    out = np.empty((grid.steps + 1, *x0.shape))
-    out[0] = x
+    out = np.empty((grid.steps - start + 1, *x0.shape))
+    scratch = np.empty((min(CHECK_EVERY, grid.steps) if start else 0, *x0.shape))
+    if start == 0:
+        out[0] = x
     for i in range(0, grid.steps, CHECK_EVERY):
         j = min(i + CHECK_EVERY, grid.steps)
+        states = out[i + 1 - start : j + 1 - start] if i >= start else scratch[: j - i]
         advance(model, x, times[i : j + 1], grid.dt, mode_drive(model, eps, inc[None, i:j]),
-                out[i + 1 : j + 1])
-        bad = np.argwhere(blowup_sq(model, out[i + 1 : j + 1]) > BLOWUP_NORM**2)
+                states)
+        bad = np.argwhere(blowup_sq(model, states) > BLOWUP_NORM**2)
         if len(bad):
             step = i + 1 + int(bad[0, 0])
             row = int(bad[0, 1]) if x0.ndim == 2 else None
@@ -241,17 +267,22 @@ def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
                                   f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
             err.row = row
             raise err
-    return Path(grid, out)
+        if i < start <= j:  # the window opens in this interval
+            out[: j + 1 - start] = scratch[start - 1 - i : j - i]
+    return Path(window, out)
 
 
 def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
-                eps: float) -> Path:
-    """Euler-Maruyama trajectory of the noisy equation on `grid`.
+                eps: float, window=None) -> Path:
+    """Euler-Maruyama trajectory of the noisy equation over `grid`, recorded on `window`.
 
     x0 is one state (dim,) or a block (rows, dim) of states that all start at
     grid.t_start and share the noise.  The noise record must cover the grid with
     the same spacing; its increments are consumed mode-wise through the model's
-    diffusion.
+    diffusion.  `window`, a sub-grid on the grid's lattice that ends at grid.t_end
+    (default: the whole grid), is all that is kept: the returned Path holds its
+    states only, so memory follows the window, not the grid.  Every step is taken
+    and checked alike, and the recorded states are the whole run's bit for bit.
     """
     x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
@@ -261,7 +292,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
     return _checked_path(model, em_stepper(model), x0, grid, noise.restrict(grid).increments,
-                         eps, "trajectory")
+                         eps, "trajectory", window)
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
@@ -301,10 +332,12 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
     return out
 
 
-def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None) -> Path:
+def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None,
+                       window=None) -> Path:
     """Heun (explicit trapezoidal) trajectory of the controlled equation; x0 is one
-    state or a block of rows sharing the control, as for em_step_sde."""
+    state or a block of rows sharing the control, and `window` the sub-grid ending at
+    grid.t_end that is recorded (default: the whole grid), as for em_step_sde."""
     x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
     return _checked_path(model, heun_advance, x0, grid, _control_table(model, grid, control),
-                         1.0, "skeleton trajectory")
+                         1.0, "skeleton trajectory", window)

@@ -213,7 +213,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
         sl = slice(start, min(start + chunk, n_samples))
         states = _pullback_rows(model, eps, seeds[sl], steps_list, dt)
         gap = h_norm(model, states[0] - states[1])
-        if np.any(gap >= tol):
+        if not np.all(gap < tol):  # a NaN gap fails too
             bad = int(np.argmax(gap))
             raise NonConvergenceError(
                 f"stationary sample with derived seed {seeds[sl][bad]} has "

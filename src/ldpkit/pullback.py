@@ -14,7 +14,10 @@ one call of the traced stepper on the rows started so far plus one new
 row at rest, so every step is taken once for all rungs.  Each segment
 steps with its own grid's dt, which can differ from a whole rung's dt in
 the last bit, so ladder outputs can differ at the rounding level from
-integrating each rung alone.
+integrating each rung alone.  A segment records only what the ladder
+reads: its last step for the next segment's start, and, for the last
+segment, the view window; so a ladder's memory is the view block plus
+the noise record, however long the horizons grow.
 
 The same ladder applied to the controlled (noise-free) equation yields
 attracting deterministic structures, e.g. the periodic orbit of the
@@ -87,20 +90,24 @@ def _segments(grids: list[TimeGrid]) -> list[TimeGrid]:
 
 
 def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
-                integrate: Callable[[np.ndarray, TimeGrid], Path], tol: float, seed=None):
+                integrate: Callable[[np.ndarray, TimeGrid, TimeGrid], Path], tol: float,
+                seed=None):
     """Integrate the ladder as one row block, measure view-window sup gaps, fit the decay rate.
 
-    `integrate(x0, grid)` steps a block x0 of rows over one segment.  Row r
-    is the rung with the r-th longest horizon: the longest rung starts alone,
-    and each shorter one joins as a new row at rest when its start step comes,
-    so every step is taken once for all rungs.
+    `integrate(x0, grid, window)` steps a block x0 of rows over one segment and
+    returns its path on `window`: the last step for every segment but the last,
+    the view for the last.  Row r is the rung with the r-th longest horizon: the
+    longest rung starts alone, and each shorter one joins as a new row at rest
+    when its start step comes, so every step is taken once for all rungs.
     """
     check_positive(tol, "tol")
     horizons = [-g.t_start for g in grids]
     x = np.empty((0, model.dim))
-    for k, segment in enumerate(_segments(grids)):
+    segments = _segments(grids)
+    for k, segment in enumerate(segments):
+        window = view if k == len(segments) - 1 else segment.tail(1)
         try:
-            path = integrate(np.vstack([x, model.pullback_init]), segment)
+            path = integrate(np.vstack([x, model.pullback_init]), segment, window)
         except DivergenceError as err:
             rung = len(grids) - 1 - err.row  # its index in ascending horizon order
             step = grids[rung].steps - grids[-1 - k].steps + err.step
@@ -108,7 +115,7 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
                 f"pullback rung with horizon {horizons[rung]:g} of '{model.name}' diverged "
                 f"at step {step} (t = {err.time:.6g})", step=step, time=err.time) from None
         x = path.states[-1]
-    rungs = path.restrict(view).states[:, ::-1]  # shortest horizon first
+    rungs = path.states[:, ::-1]  # on the view, shortest horizon first
     gaps = []
     for i in range(1, len(grids)):
         gaps.append(float(np.max(h_norm(model, rungs[:, i] - rungs[:, i - 1]))))
@@ -131,6 +138,11 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
     return Path(view, rungs[:, -1].copy()), diag
 
 
+def _em(model: ModelSpec, noise, eps: float):
+    """_run_ladder's `integrate` for the noisy equation on one noise record."""
+    return lambda x0, grid, window: em_step_sde(model, x0, grid, noise, eps, window)
+
+
 def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
                         horizons=None, tol: float = 1e-4):
     """Stationary-solution sample on `view` for one noise realization.
@@ -143,8 +155,7 @@ def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
     noise = sample_noise(grids[-1], model.modes, seed)
-    return _run_ladder(model, view, grids,
-                       lambda x0, grid: em_step_sde(model, x0, grid, noise, eps), tol, seed)
+    return _run_ladder(model, view, grids, _em(model, noise, eps), tol, seed)
 
 
 def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
@@ -154,7 +165,8 @@ def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
     return _run_ladder(model, view, grids,
-                       lambda x0, grid: integrate_skeleton(model, x0, grid, control), tol)
+                       lambda x0, grid, window: integrate_skeleton(model, x0, grid, control,
+                                                                   window), tol)
 
 
 def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
@@ -181,10 +193,7 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
     grids_base = _ladder_grids(view, horizons)
     noise = sample_noise(grids_late[-1], model.modes, seed)
     noise_shifted = shift_noise(noise, s)
-    late, _ = _run_ladder(model, shifted_view, grids_late,
-                          lambda x0, grid: em_step_sde(model, x0, grid, noise, eps), tol, seed)
-    base, _ = _run_ladder(model, view, grids_base,
-                          lambda x0, grid: em_step_sde(model, x0, grid, noise_shifted, eps),
-                          tol, seed)
+    late, _ = _run_ladder(model, shifted_view, grids_late, _em(model, noise, eps), tol, seed)
+    base, _ = _run_ladder(model, view, grids_base, _em(model, noise_shifted, eps), tol, seed)
     return float(np.max(h_norm(model, late.states - base.states)))
 

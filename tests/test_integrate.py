@@ -25,8 +25,9 @@ from ldpkit import (
     save_path,
 )
 import ldpkit.pullback
-from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
-                              em_stepper, mode_drive)
+from ldpkit.grids import same_spacing
+from ldpkit.integrate import (BLOWUP_NORM, _record_offset, check_dt, check_eps, check_state,
+                              em_advance, em_stepper, mode_drive)
 from ldpkit.noise import gaussian_block
 
 
@@ -583,3 +584,94 @@ def test_fused_step_reports_the_same_divergence():
         errors.append((exc.value.step, exc.value.time, exc.value.row, str(exc.value)))
     assert errors[0] == errors[1]
     assert errors[0][2] == 1 and errors[0][0] > 1
+
+
+def _window_runs(model, x0, grid, window, seed=3):
+    """(EM path, Heun path) of x0 over `grid`, recorded on `window`."""
+    noise = sample_noise(grid, model.modes, seed)
+    table = np.cos(np.arange(grid.steps * model.modes) * 0.37).reshape(grid.steps, model.modes)
+    return (em_step_sde(model, x0, grid, noise, min(0.1, model.eps0), window),
+            integrate_skeleton(model, x0, grid, 0.2 * table, window))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(("ou", {}), id="ou"),
+    pytest.param(("linear2d-a2", {}), id="linear2d-a2"),
+    pytest.param(("burgers1d", {"grid": 19, "K": 8}), id="burgers1d-small"),
+])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_window_is_the_restricted_full_run(spec, rows):
+    # a recorded window holds the whole run's states on it, byte for byte, wherever
+    # it opens: at step 0, mid-interval, on a CHECK_EVERY boundary or at the last step
+    model = make_model(*spec)
+    dt = model.default_dt
+    grid = TimeGrid(-600 * dt, 0.0, 600)
+    x0 = 0.5 * np.sin(np.linspace(0.3, 3.0, model.dim))
+    if rows is not None:
+        x0 = np.outer([1.0, -0.5, 2.0], x0)
+    full = _window_runs(model, x0, grid, None)
+    times = grid.times()
+    for start in (0, 100, 256, 300, 512, 599):
+        window = TimeGrid(float(times[start]), grid.t_end, grid.steps - start)
+        for whole, part in zip(full, _window_runs(model, x0, grid, window)):
+            expected = whole.restrict(window)
+            assert part.grid == expected.grid == window, start
+            assert part.states.shape == expected.states.shape, start
+            assert part.states.tobytes() == expected.states.tobytes(), start
+    for whole, last in zip(full, _window_runs(model, x0, grid, grid.tail(1))):
+        assert last.states.tobytes() == whole.states[-2:].tobytes()
+
+
+def test_window_must_end_on_the_grid(ou):
+    grid = TimeGrid(0.0, 6.0, 600)
+    noise = sample_noise(grid, 1, seed=0)
+    times = grid.times()
+    off_lattice = TimeGrid(times[300] + 0.5 * grid.dt, grid.t_end + 0.5 * grid.dt, 300)
+    early_end = TimeGrid(times[100], times[300], 200)
+    outside = TimeGrid(-1.0, grid.t_end, 700)
+    other_spacing = TimeGrid(3.0, 6.0, 150)
+    for window in (off_lattice, early_end, outside, other_spacing):
+        with pytest.raises(InputError, match="is not the last"):
+            em_step_sde(ou, np.array([0.5]), grid, noise, 0.1, window)
+        with pytest.raises(InputError, match="is not the last"):
+            integrate_skeleton(ou, np.array([[0.5], [0.1]]), grid, None, window)
+
+
+def test_one_step_tail_of_a_long_grid_far_from_zero():
+    # a ladder segment's last step: its dt, t_end minus a large t_start, is 6e-9
+    # relatively off the grid's, yet it is the grid's last step
+    grid = TimeGrid(-20.0, -10.0, 10**8)
+    assert not same_spacing(grid, grid.tail(1))
+    assert _record_offset(grid, grid.tail(1)) == grid.steps - 1
+    assert grid.tail(grid.steps) is grid
+
+
+def test_divergence_before_the_window_is_reported_alike(ou):
+    # steps stepped into the scratch block are scanned as the recorded ones:
+    # the error names the same step, time and row whatever the window
+    def error(run, window):
+        with pytest.raises(DivergenceError) as exc:
+            run(window)
+        return exc.value.step, exc.value.time, exc.value.row, str(exc.value)
+
+    g = TimeGrid(0.0, 2.05 * 600, 600)  # ou at dt = 2.05 blows up after step 256
+    noise = sample_noise(g, 1, seed=2)
+    block = np.array([[1e-3], [1.0], [1e-3]])
+    burgers = make_model("burgers1d", {"grid": 19, "K": 8})
+    dt = burgers.max_stable_dt
+    bg = TimeGrid(0.0, 600 * dt, 600)
+    bnoise = sample_noise(bg, burgers.modes, seed=5)
+    shape = np.sin(np.linspace(0.2, 3.0, burgers.dim))
+    bblock = np.array([0.5 * shape, 110.0 * shape, shape])  # row 1 diverges in interval one
+    runs = [
+        (g, lambda w: em_step_sde(ou, block, g, noise, 0.1, w)),
+        (g, lambda w: em_step_sde(ou, np.array([1.0]), g, noise, 0.1, w)),
+        (g, lambda w: integrate_skeleton(ou, np.array([[1.0], [1e3], [1.0]]), g, None, w)),
+        (bg, lambda w: em_step_sde(burgers, bblock, bg, bnoise, 0.05, w)),
+    ]
+    for grid, run in runs:
+        whole = error(run, None)
+        assert whole[0] > 1
+        for window in (grid.tail(1), grid.tail(grid.steps - whole[0]),
+                       grid.tail(grid.steps - whole[0] + 1), grid.tail(grid.steps - 256)):
+            assert error(run, window) == whole, window

@@ -384,3 +384,20 @@ def test_sampler_settings_are_checked_before_sampling(ou, monkeypatch):
     for eps_list in ([0.3, 0.0], [0.3, float("nan")]):
         with pytest.raises(InputError, match="eps"):
             estimate_event(ou, Event.norm_ge(0.5), eps_list=eps_list, n_samples=10, dt=0.01)
+
+
+def test_sampler_refuses_a_nan_gap(ou, monkeypatch):
+    # a shorter-horizon row that turns non-finite leaves a NaN gap, which
+    # must fail the tolerance check and name its seed
+    rows = ldpverify._pullback_rows
+
+    def broken(model, eps, seeds, steps_list, dt):
+        states = rows(model, eps, seeds, steps_list, dt)
+        states[1, 1] = np.nan
+        return states
+
+    monkeypatch.setattr(ldpverify, "_pullback_rows", broken)
+    with pytest.raises(NonConvergenceError) as exc:
+        sample_stationary(ou, 0.1, 3, seed=4, dt=0.01)
+    assert exc.value.seed == int(ldpverify.derive_seeds_from(4, 0, 3)[1])
+    assert "nan" in str(exc.value)

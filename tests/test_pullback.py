@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,10 +134,10 @@ def test_non_convergence_raised():
     view = from_dt(-1.0, 0.0, 0.01)
     grids = _ladder_grids(view, [2.0, 3.0, 4.0])
 
-    def stuck(x0, grid):
+    def stuck(x0, grid, window):
         # row r holds the value r throughout: constant unit gaps
         rows = np.arange(len(x0), dtype=np.float64)[:, None]
-        return Path(grid, np.broadcast_to(rows, (grid.steps + 1, *rows.shape)))
+        return Path(window, np.broadcast_to(rows, (window.steps + 1, *rows.shape)))
 
     with pytest.raises(NonConvergenceError) as exc:
         _run_ladder(model, view, grids, stuck, tol=1e-4, seed=77)
@@ -188,8 +189,8 @@ def _ladder_rows(model, eps, noise, view, grids):
     """The ladder's rung rows on the view (shortest horizon first), its path and diagnostics."""
     last = []
 
-    def integrate(x0, grid):
-        last[:] = [em_step_sde(model, x0, grid, noise, eps)]
+    def integrate(x0, grid, window):
+        last[:] = [em_step_sde(model, x0, grid, noise, eps, window)]
         return last[0]
 
     path, diag = _run_ladder(model, view, grids, integrate, tol=10.0)
@@ -253,3 +254,23 @@ def test_ladder_divergence_names_the_rung(ou):
     assert exc.value.step == single.value.step
     assert exc.value.time == pytest.approx(single.value.time, rel=1e-12)
     assert f"rung with horizon {-grids[-1].t_start:g}" in str(exc.value)
+
+
+def test_ladder_memory_follows_the_view():
+    # segments record only their last step and the view: quadrupling the horizons
+    # grows the traced peak by little more than the noise record's own growth,
+    # where recording every state would grow it by the states of the longer rungs
+    model = make_model("burgers1d", {"grid": 19, "K": 8})
+    dt = model.default_dt
+    view = TimeGrid(-40 * dt, 0.0, 40)
+    peaks, records = [], []
+    for factor in (1, 4):
+        horizons = [factor * n for n in default_horizons(model, view)]
+        records.append(_ladder_grids(view, horizons)[-1].steps * model.modes * 8)
+        tracemalloc.start()
+        try:
+            pullback_stationary(model, 0.05, 7, view, horizons=horizons)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * (records[1] - records[0]), (peaks, records)
