@@ -25,7 +25,7 @@ from .errors import DivergenceError, InputError, InsufficientDataError, NonConve
 from .grids import check_positive, ladder_steps
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_stepper, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
-from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_block
+from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_stream
 
 _Z95 = 1.959963984540054
 _DRIVE_WORDS = 4_000_000  # drive words of one check interval, summed over a seed chunk
@@ -158,29 +158,41 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
 
     The horizons are blocks of rows of one state that share each step's
     drive, so all see the same realization per seed; a block holds the
-    rest state until its start step.  The noise comes one check interval
-    at a time: a window ends after each step j with j % CHECK_EVERY == 0,
-    and at 0, where the longest horizon is checked for divergence.
+    rest state until its start step.  The noise comes in pieces of at most
+    CHECK_EVERY // 4 steps, one ending after each step j with
+    j % (CHECK_EVERY // 4) == 0 and one at 0, from a gaussian_stream: the
+    noise pool fills the next piece while this thread steps the current one,
+    so two pieces, about half of one check interval's noise, are alive at a
+    time.  The longest horizon is checked for divergence where a check
+    interval ends, after each step j with j % CHECK_EVERY == 0 and at 0.
+    However the run ends, the piece in flight is unclaimed before it returns.
     """
     n = len(seeds)
     starts = sorted(-steps for steps in steps_list)
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
-    ends = [*range(starts[0] + (-starts[0]) % CHECK_EVERY + 1, 0, CHECK_EVERY), 0]
+    piece = CHECK_EVERY // 4
+    ends = [*range(starts[0] + (-starts[0]) % piece + 1, 0, piece), 0]
+    pieces = list(zip([starts[0], *ends], ends))
     advance = em_stepper(model)
-    for w0, w1 in zip([starts[0], *ends], ends):
-        drive = mode_drive(model, eps, gaussian_block(seeds, w0, w1 - w0, model.modes, dt),
-                           _overwrite=True)  # the block is this loop's own
-        cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
-        for j0, j1 in zip(cuts, cuts[1:]):
-            rows = n * sum(s <= j0 for s in starts)
-            advance(model, x[:rows], np.arange(j0, j1) * dt, dt, drive[j0 - w0 : j1 - w0])
-        del drive  # release it before the next window's noise is drawn
-        bad = worst_blowup(model, x[:n])
-        if bad is not None:
-            t = (w1 - 1) * dt
-            raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
-                                  f"t = {t:.6g}; smaller dt or eps needed",
-                                  step=w1 - 1 - starts[0], time=t)
+    blocks = gaussian_stream(seeds, [(w0, w1 - w0) for w0, w1 in pieces], model.modes, dt)
+    try:
+        for w0, w1 in pieces:
+            drive = mode_drive(model, eps, next(blocks), _overwrite=True)  # the loop's own block
+            cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
+            for j0, j1 in zip(cuts, cuts[1:]):
+                rows = n * sum(s <= j0 for s in starts)
+                advance(model, x[:rows], np.arange(j0, j1) * dt, dt, drive[j0 - w0 : j1 - w0])
+            del drive  # release this piece before the one after next is started
+            if (w1 - 1) % CHECK_EVERY and w1 != 0:
+                continue  # no check interval ends here
+            bad = worst_blowup(model, x[:n])
+            if bad is not None:
+                t = (w1 - 1) * dt
+                raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
+                                      f"t = {t:.6g}; smaller dt or eps needed",
+                                      step=w1 - 1 - starts[0], time=t)
+    finally:
+        blocks.close()  # unclaims the piece in flight, if any
     return x.reshape(len(starts), n, model.dim)
 
 

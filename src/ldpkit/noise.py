@@ -13,9 +13,13 @@ sub-window of it.
 Step indices are absolute, anchored at t = 0 (index floor is round(t/dt)),
 and may be negative; a zigzag bijection folds them into the counter.
 
-Large blocks are filled in tiles of a few steps, split into one contiguous
-range of tiles per CPU this process may run on.  Each word depends on its
-counter alone and each tile writes its own rows, so the split cannot change
+Large blocks are filled in tiles of a few steps.  The tiles are claimed one
+at a time, by the calling thread and by a shared pool of one thread fewer
+than the CPUs this process may run on, so whichever thread is free takes the
+next.  gaussian_stream keeps one block ahead: the pool fills the next
+window's block while the caller uses this one, and the caller claims what is
+left when it asks for it.  Each word depends on its counter alone and each
+tile writes its own rows, so neither the claiming nor the stream can change
 a value.
 """
 
@@ -39,11 +43,14 @@ _SALT_STREAM = np.uint64(0x243F6A8885A308D3)
 _SALT_DERIVE = np.uint64(0x452821E638D01377)
 
 _U64_MAX = (1 << 64) - 1
-_TILE_WORDS = 1 << 14
-# the CPUs this process may run on; gaussian_block uses one range of tiles each
+# words per tile (256 KiB, in cache): a tile takes the GIL about a dozen times, so a pool
+# thread filling large tiles seldom holds up a caller that steps between them
+_TILE_WORDS = 1 << 15
+# the CPUs this process may run on: the caller and _WORKERS - 1 pool threads claim tiles
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = (None, None)  # (pid, ThreadPoolExecutor), made on first use
 _pool_lock = threading.Lock()
+_ahead = threading.local()  # .block: set aside by gaussian_stream for this thread's next call
 
 
 def _as_int(name: str, value) -> int:
@@ -59,9 +66,10 @@ def _as_u64(seed: int) -> np.uint64:
     return np.uint64(seed)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # Stafford variant-13 finalizer, in place on a fresh uint64 array.
-    tmp = np.empty_like(x)
+def _mix64(x: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    # Stafford variant-13 finalizer, in place on a fresh uint64 array; tmp, if
+    # given, is scratch memory of x's shape and dtype.
+    tmp = np.empty_like(x) if tmp is None else tmp
     x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= _MIX_A
     x ^= np.right_shift(x, np.uint64(27), out=tmp)
@@ -116,24 +124,8 @@ def _executor():
         return _pool[1]
 
 
-def _fill(out, step_part, base, scale, lo: int, hi: int, rows: int) -> None:
-    """Steps [lo, hi) of out, `rows` steps per tile so that the passes run in cache."""
-    for r in range(lo, hi, rows):
-        x = _mix64(step_part[r : r + rows] + base)
-        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
-        u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=out[r : r + rows])
-        u *= 2.0**-53
-        ndtri(u, out=u)
-        u *= scale
-
-
-def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) -> np.ndarray:
-    """N(0, dt) increments for absolute steps [first_step, first_step+steps).
-
-    Returns shape (len(seeds), steps, modes); each seed indexes an
-    independent stream, each (step, mode) cell a fixed counter word.  It is
-    the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
-    """
+def _window(first_step, steps, modes, dt) -> tuple:
+    """The checked (first_step, steps, modes, dt) of one block."""
     first_step = _as_int("first step", first_step)
     steps = _as_int("step count", steps)
     modes = _as_int("mode count", modes)
@@ -142,24 +134,145 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) ->
     if steps < 0:
         raise InputError("step count must be non-negative")
     check_positive(dt, "dt")
+    return first_step, steps, modes, float(dt)
+
+
+class _Block:
+    """One block in the making.  Its tiles of `rows` steps are claimed one at a time by
+    whichever thread asks next, the pool's or the caller's, and each is filled by the
+    thread that claimed it."""
+
+    def __init__(self, states, first_step: int, steps: int, modes: int, dt: float):
+        self.key = (first_step, steps, modes, dt)
+        self.states = states
+        # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
+        self.base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()
+        self.step_part = (_zigzag(first_step + np.arange(steps)) * np.uint64(modes) * _GOLDEN)[:, None]
+        self.out = np.empty((steps, self.base.size))
+        self.scale = np.sqrt(dt)
+        self.rows = max(1, _TILE_WORDS // max(1, self.base.size))
+        self.tiles = -(-steps // self.rows)
+        self.claimed = 0  # tiles handed out, in order
+        self.busy = 0  # tiles handed out and not yet written
+        self.error = None
+        self.idle = threading.Condition()
+        self.then = None  # the block after this one in its stream, if any
+
+    def start(self) -> "_Block":
+        """Let up to _WORKERS - 1 pool threads claim tiles; a one-tile block makes no pool.
+
+        Their futures are not read: a helper may still be queued behind other blocks
+        when this one is done, and a failed tile reaches the caller through `error`."""
+        helpers = min(_WORKERS, self.tiles) - 1
+        pool = _executor() if helpers > 0 else None
+        for _ in range(helpers):
+            pool.submit(self.fill)
+        return self
+
+    def _fill_tile(self, tile: int) -> None:
+        rows = slice(tile * self.rows, (tile + 1) * self.rows)
+        x = self.step_part[rows] + self.base
+        _mix64(x, self.out[rows].view(np.uint64))  # the tile's rows are its scratch
+        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
+        u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=self.out[rows])
+        u *= 2.0**-53
+        ndtri(u, out=u)
+        u *= self.scale
+
+    def fill_one(self) -> bool:
+        """Claim and fill the next tile; False if none is left unclaimed."""
+        with self.idle:
+            if self.claimed == self.tiles:
+                return False
+            tile = self.claimed
+            self.claimed += 1
+            self.busy += 1
+        try:
+            self._fill_tile(tile)
+        except BaseException as err:
+            self.error = err  # raised by result, so no tile is left unwritten unseen
+            raise
+        finally:
+            with self.idle:
+                self.busy -= 1
+                if not self.busy:
+                    self.idle.notify_all()
+        return True
+
+    def fill(self) -> None:
+        """Claim and fill tiles until none is left unclaimed."""
+        while self.fill_one():
+            pass
+
+    def settle(self) -> None:
+        """Unclaim every tile nobody has claimed and wait for the claimed ones: no
+        thread is left working on the block, and no caller waits on an unclaimed tile."""
+        with self.idle:
+            self.claimed = self.tiles
+            self.idle.wait_for(lambda: not self.busy)
+
+    def result(self) -> np.ndarray:
+        """The block, as (seeds, steps, modes): this thread fills the unclaimed tiles."""
+        try:
+            self.fill()
+            # while the pool writes this block's last tiles, fill the next block's
+            while self.busy and self.then is not None and self.then.fill_one():
+                pass
+        finally:
+            self.settle()
+        if self.error is not None:
+            raise self.error
+        _, steps, modes, _ = self.key
+        return self.out.reshape(steps, len(self.states), modes).transpose(1, 0, 2)
+
+
+def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) -> np.ndarray:
+    """N(0, dt) increments for absolute steps [first_step, first_step+steps).
+
+    Returns shape (len(seeds), steps, modes); each seed indexes an
+    independent stream, each (step, mode) cell a fixed counter word.  It is
+    the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
+    The block gaussian_stream set aside for this call, which the pool has been
+    filling, is finished here rather than started anew.
+    """
+    key = _window(first_step, steps, modes, dt)
     states = _stream_states(seeds)
-    # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
-    base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()
-    step_part = (_zigzag(first_step + np.arange(steps)) * np.uint64(modes) * _GOLDEN)[:, None]
-    out = np.empty((steps, base.size))
-    scale = np.sqrt(dt)
-    rows = max(1, _TILE_WORDS // max(1, base.size))
-    tiles = -(-steps // rows)
-    parts = max(1, min(_WORKERS, tiles))
-    # part j takes tiles [j*tiles//parts, (j+1)*tiles//parts); this thread fills part 0
-    edges = [min(steps, j * tiles // parts * rows) for j in range(parts + 1)]
-    pool = _executor() if parts > 1 else None
-    later = [pool.submit(_fill, out, step_part, base, scale, lo, hi, rows)
-             for lo, hi in zip(edges[1:-1], edges[2:])]
-    _fill(out, step_part, base, scale, edges[0], edges[1], rows)
-    for f in later:
-        f.result()
-    return out.reshape(steps, len(states), modes).transpose(1, 0, 2)
+    block = getattr(_ahead, "block", None)
+    if block is not None and block.key == key and np.array_equal(block.states, states):
+        _ahead.block = None
+    else:
+        block = _Block(states, *key).start()
+    return block.result()
+
+
+def gaussian_stream(seeds, windows, modes: int, dt: float):
+    """gaussian_block for each (first_step, steps) window in turn, the pool filling the
+    next window's block while the caller uses this one.
+
+    A generator that keeps one block in flight: when the caller asks for a block,
+    the next one is started, then the asked one is taken by gaussian_block, whose
+    unclaimed tiles the caller fills; while the pool writes its last tiles, the
+    caller fills the next block's.  So two blocks are alive at a time, if the
+    caller drops each before asking for the next.  Closing the generator (in a
+    try/finally) unclaims the block in flight, so an abandoned stream leaves no work
+    behind and nobody waits on a tile no thread has claimed.
+    """
+    keys = [_window(first_step, steps, modes, dt) for first_step, steps in windows]
+    states = _stream_states(seeds)
+    ahead = _Block(states, *keys[0]).start() if keys else None
+    try:
+        for k, key in enumerate(keys):
+            block = _ahead.block = ahead
+            ahead = block.then = (_Block(states, *keys[k + 1]).start() if k + 1 < len(keys)
+                                  else None)
+            yield gaussian_block(seeds, *key)  # takes the block set aside for it
+    finally:
+        left = getattr(_ahead, "block", None)
+        if left is not None and left.states is states:  # set aside but not taken
+            _ahead.block = None
+            left.settle()
+        if ahead is not None:
+            ahead.settle()
 
 
 @dataclass(frozen=True)

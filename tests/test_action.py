@@ -163,6 +163,32 @@ def test_gradient_matches_finite_differences(name, offset):
         assert grad[i, j] == pytest.approx(fd, rel=2e-5, abs=1e-8), (name, i, j)
 
 
+@pytest.mark.parametrize("weights, offset", [(None, 0.0), ([1.0, 2.0], 0.2)])
+def test_gradient_matches_finite_differences_on_the_multiplicative_oracles(
+        gradient_flow, weights, offset):
+    # criterion 06's check on the oracle family b(x) = d0 / (1 + |x|^2), f = -b^2 grad U,
+    # whose 1-D member has a linear drift and whose 2-D member carries b in the drift too:
+    # every entry of the exact gradient against central differences, random smooth paths
+    model = gradient_flow(weights, 1.0, 1.0)
+    g = from_dt(0.0, 0.2, 0.01)
+    worst = 0.0
+    for seed in range(20):
+        path = smooth_path(g, model.dim, seed=seed, scale=0.5, offset=offset)
+        grad = action_gradient(model, path, fixed_endpoints=(False, False))
+        fd = np.empty_like(grad)
+        for i in range(g.steps + 1):
+            for j in range(model.dim):
+                h = 1e-6 * (1.0 + abs(path.states[i, j]))
+                up = path.states.copy()
+                up[i, j] += h
+                dn = path.states.copy()
+                dn[i, j] -= h
+                fd[i, j] = (action(model, Path(g, up)).value
+                            - action(model, Path(g, dn)).value) / (2 * h)
+        worst = max(worst, np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
+    assert worst < 1e-5
+
+
 def test_gradient_endpoint_zeroing(ou):
     g = from_dt(0.0, 0.5, 0.01)
     path = smooth_path(g, 1, seed=2)

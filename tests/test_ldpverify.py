@@ -1,9 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from ldpkit import (
@@ -21,9 +23,10 @@ from ldpkit import (
     save_estimates,
     wilson_interval,
 )
-from ldpkit import ldpverify, make_model
+from ldpkit import ldpverify, make_model, noise
 from ldpkit.integrate import CHECK_EVERY
 from ldpkit.ldpverify import _Z95, line_fit
+from ldpkit.noise import derive_seeds_from, gaussian_block
 
 
 def test_wilson_interval_values():
@@ -196,6 +199,85 @@ def test_sampling_divergence_after_many_check_intervals(ou):
                           horizons=[1200 * 2.02, 3000 * 2.02])
     assert exc.value.step == 696
     assert exc.value.time == -4654.08
+
+
+@pytest.mark.parametrize("stop", [DivergenceError, KeyboardInterrupt])
+def test_an_abandoned_run_leaves_no_noise_work(ou, monkeypatch, slow_tiles, stop):
+    # when a run leaves the sampler early, the piece in flight is unclaimed first:
+    # no tile is filled after the error, a task on the noise pool runs at once, and
+    # the next gaussian_block call gives its golden bytes
+    kw = dict(dt=2.02, horizons=[1200 * 2.02, 3000 * 2.02])  # diverges some pieces in
+    if stop is KeyboardInterrupt:
+        kw = dict(dt=0.01, horizons=[10.0, 20.0])
+        stepper, calls = ldpverify.em_stepper, []
+
+        def interrupted(model):
+            advance = stepper(model)
+
+            def step(*args):
+                calls.append(None)
+                if len(calls) == 8:
+                    raise KeyboardInterrupt
+                advance(*args)
+
+            return step
+
+        monkeypatch.setattr(ldpverify, "em_stepper", interrupted)
+    with pytest.raises(stop) as exc:
+        sample_stationary(ou, 0.1, 4096, seed=0, **kw)
+    # the traceback, held here as a caller or a debugger may hold it, keeps the
+    # sampler's frame alive: the stream is closed by the sampler, not collected
+    filled = slow_tiles.filled
+    assert slow_tiles.pool_idles_at_once()
+    assert slow_tiles.filled == filled
+    assert getattr(noise._ahead, "block", None) is None
+    assert exc.tb is not None
+    monkeypatch.undo()  # the real ndtri and pool
+    block = gaussian_block(derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == (
+        "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d")
+
+
+def test_sampler_noise_memory_is_half_a_check_interval(lin_a1):
+    # one check interval of noise is 1953 samples x 256 steps x 2 modes, about 10^6
+    # words (7.6 MiB).  Quarter-interval pieces, two alive at a time, hold half of
+    # that.  The slack covers a tile in the making per thread (0.3 MiB each), the
+    # states, the samples and per-step temporaries.  So a third live piece (1.9 MiB
+    # more), one whole interval at a time (8.6 MiB at the previous engine) and a
+    # double buffer of whole intervals (15 MiB and more) all fail the bound.
+    n = 1953
+    interval = n * CHECK_EVERY * lin_a1.modes * 8
+    slack = 2 * 2**20
+    tracemalloc.start()
+    try:
+        sample_stationary(lin_a1, 0.2, n, seed=5, dt=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= interval / 2 + slack
+
+
+def test_multiplicative_sampler_matches_the_ito_density(gradient_flow):
+    # dX = -a X dt + sqrt(eps) b(X) dW with b = d0 / (1 + x^2): the Ito stationary
+    # density is p ~ b^-2 exp(-V / eps), V = a((1 + x^2)^3 - 1) / (3 d0^2); its
+    # variance and a tail probability by quadrature against the sampler's, which
+    # steps through a state-dependent kick
+    a, d0, eps, n, r = 1.0, 1.0, 0.2, 20_000, 0.5
+    model = gradient_flow(None, a, d0)
+
+    def density(x):
+        return (1.0 + x * x) ** 2 / d0**2 * math.exp(-a * ((1.0 + x * x) ** 3 - 1.0)
+                                                     / (3.0 * d0**2 * eps))
+
+    mass = quad(density, -np.inf, np.inf)[0]
+    var = quad(lambda x: x * x * density(x), -np.inf, np.inf)[0] / mass
+    tail = 2.0 * quad(density, r, np.inf)[0] / mass
+    x = sample_stationary(model, eps, n, seed=21, dt=0.005)[:, 0]
+    m2 = np.mean(x * x)
+    assert abs(np.mean(x)) <= 3.0 * math.sqrt(m2 / n)
+    assert abs(m2 - var) <= 3.0 * math.sqrt((np.mean(x**4) - m2 * m2) / n)
+    p = np.mean(np.abs(x) >= r)
+    assert abs(p - tail) <= 3.0 * math.sqrt(tail * (1.0 - tail) / n)
 
 
 def test_integer_arguments_refuse_floats_and_bools(ou):

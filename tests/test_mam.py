@@ -319,40 +319,6 @@ def test_quasipotential_equals_the_gaussian_rate(name):
         assert res.converged_value == pytest.approx(0.5 * x @ P @ x, rel=1e-4)
 
 
-def _gradient_flow_model(weights, a, d0):
-    """dX = -b(X)^2 a W X dt + sqrt(eps) b(X) dB with b(u) = d0 / (1 + |u|^2) and W =
-    diag(weights), or a linear -a X when weights is None, which is -b^2 grad U for
-    U = a((1 + |x|^2)^3 - 1) / (6 d0^2) in one dimension."""
-    def factor(u):
-        return d0 / (1.0 + np.sum(np.asarray(u) ** 2, axis=-1))
-
-    def grad_factor(u):
-        u = np.asarray(u, dtype=np.float64)
-        return (-2.0 / d0) * factor(u)[..., None] ** 2 * u
-
-    if weights is None:
-        dim, linear, nonlinear = 1, lambda u: -a * np.asarray(u), None
-        jacT = lambda u, t, y: -a * np.asarray(y)
-    else:
-        w = a * np.asarray(weights, dtype=np.float64)
-        dim, linear = len(w), lambda u: np.zeros_like(np.asarray(u, dtype=np.float64))
-
-        def nonlinear(u):
-            return -factor(u)[..., None] ** 2 * w * u
-
-        def jacT(u, t, y):
-            # d/du_j of -b^2 w_i u_i is -2 b (db/du_j) w_i u_i - b^2 w_i delta_ij
-            b = factor(u)[..., None]
-            wuy = np.sum(w * u * y, axis=-1)[..., None]
-            return 4.0 * b**3 / d0 * u * wuy - b**2 * w * y
-
-    return ModelSpec(
-        name="gradient-flow", dim=dim, linear=linear, nonlinear=nonlinear, drift_jacT=jacT,
-        constants=HypothesisConstants(lam=a, c0=0.0, c1=1.0, beta0=d0, d0=d0),
-        state_box=(-1.0, 1.0), relax_rate=a if weights is None else a * d0**2 * min(weights),
-        diffusion_factor=factor, grad_diffusion_factor=grad_factor)
-
-
 @pytest.mark.parametrize("weights, a, d0, targets, steps_per_unit", [
     (None, 1.0, 1.0, [[0.3], [0.7], [1.0], [-1.2]], 50.0),
     # faster relaxation: at 50 steps per unit -0.9 is 3.0e-4 off, at 100 7.3e-5
@@ -360,12 +326,13 @@ def _gradient_flow_model(weights, a, d0):
     ([1.0, 2.0], 1.0, 1.0, "radius 0.8", 50.0),
 ])
 def test_quasipotential_equals_the_multiplicative_gradient_potential(weights, a, d0, targets,
-                                                                     steps_per_unit):
+                                                                     steps_per_unit,
+                                                                     gradient_flow):
     # the paper's equality under multiplicative noise: with f = -b(x)^2 grad U and a
     # scalar factor b on identity modes, the action splits as
     # |x' + b^2 grad U|^2 / 2b^2 = |x' - b^2 grad U|^2 / 2b^2 + 2 grad U . x',
     # so the cost from rest is V = 2U (Freidlin-Wentzell, ch. 4)
-    model = _gradient_flow_model(weights, a, d0)
+    model = gradient_flow(weights, a, d0)
     if weights is None:
         def V(x):
             return a * ((1.0 + x @ x) ** 3 - 1.0) / (3.0 * d0**2)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -178,8 +179,9 @@ def test_gaussian_block_frozen_values():
 
 
 def test_gaussian_block_split_goldens():
-    # blocks of many tiles, which are filled in one range of tiles per CPU:
-    # 21 tiles of 2 steps, and 5 tiles of 1 step (18000 words per step)
+    # blocks of many tiles, which the caller and the pool's threads claim one at
+    # a time: 9 tiles of 5 steps (the last of 1), and 5 tiles of 1 step (18000
+    # words per step)
     block = gaussian_block(derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)
     assert sha256(block) == "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"
     block = gaussian_block(derive_seeds_from(4, 0, 9000), -3, 5, 2, 0.01)
@@ -187,7 +189,7 @@ def test_gaussian_block_split_goldens():
 
 
 @pytest.mark.parametrize("seeds, first, steps, modes", [
-    (derive_seeds_from(3, 0, 2000), -700, 41, 3),  # 21 tiles: uneven over 2 and 3 parts
+    (derive_seeds_from(3, 0, 2000), -700, 41, 3),  # 9 tiles, the last one short
     (derive_seeds_from(4, 0, 9000), -3, 5, 2),     # 5 tiles of one step
     (derive_seeds_from(5, 0, 3000), 0, 0, 2),      # no steps
     ([1, 2, 3], -50, 20, 4),                       # one tile
@@ -237,6 +239,107 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
             pool.shutdown()
     assert digests == {"923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"}
     assert len(made) == 1
+
+
+def _pieces(start, piece):
+    """(first_step, steps) windows from start to 0 as the sampler cuts them: each ends
+    after a step j with j % piece == 0, or at 0."""
+    edges = [start, *range(start + (-start) % piece + 1, 0, piece), 0]
+    return [(a, b - a) for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("seeds, windows, modes", [
+    # a partial first interval, then quarter intervals, as the sampler draws them
+    (derive_seeds_from(3, 0, 2000), _pieces(-700, 64), 3),
+    # one-step tiles (18000 words a step): one-tile pieces and two-tile ones
+    (derive_seeds_from(4, 0, 9000), [(-3, 1), (-2, 2), (0, 1), (1, 1)], 2),
+    # zero-step windows first, between and last
+    (derive_seeds_from(5, 0, 700), [(-9, 0), (-9, 40), (31, 0), (31, 0), (31, 17), (48, 0)], 1),
+    ([], [(0, 4), (4, 4)], 2),  # no seeds
+])
+def test_stream_is_per_window_blocks_byte_for_byte(monkeypatch, seeds, windows, modes):
+    want = [gaussian_block(seeds, first, steps, modes, 0.01) for first, steps in windows]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(noise, "_WORKERS", workers)
+        got = list(noise.gaussian_stream(seeds, windows, modes, 0.01))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+            assert g.strides == w.strides
+        assert getattr(noise._ahead, "block", None) is None
+
+
+def test_concurrent_streams_keep_their_own_blocks(monkeypatch):
+    # more streaming threads than CPUs, switching often, on one pool: each thread
+    # takes only the blocks set aside for it, and every piece is its window's words
+    monkeypatch.setattr(noise, "_WORKERS", 3)
+    windows = _pieces(-300, 64)
+    seeds = [derive_seeds_from(s, 0, 700) for s in range(6)]
+    want = [[gaussian_block(sd, first, steps, 2, 0.01).tobytes() for first, steps in windows]
+            for sd in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            calls = [callers.submit(lambda sd: [b.tobytes() for b in
+                                                noise.gaussian_stream(sd, windows, 2, 0.01)], sd)
+                     for sd in seeds]
+            got = [c.result(timeout=60) for c in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_other_calls_between_pieces_get_their_own_words(monkeypatch):
+    # the stream's next block is set aside for the stream's own call only: a thread's
+    # other calls between two pieces draw their own words, and the pieces join up
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    seeds = derive_seeds_from(3, 0, 2000)
+    stream = noise.gaussian_stream(seeds, [(-700, 20), (-680, 21)], 3, 0.01)
+    first = next(stream)
+    assert getattr(noise._ahead, "block", None) is None
+    other = gaussian_block(seeds[:1000], -680, 21, 3, 0.01)  # the next window, other seeds
+    second = next(stream)
+    whole = gaussian_block(seeds, -700, 41, 3, 0.01)
+    assert sha256(whole) == "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"
+    assert np.concatenate([first, second], axis=1).tobytes() == whole.tobytes()
+    assert other.tobytes() == whole[:1000, 20:].tobytes()
+
+
+def test_closing_a_stream_unclaims_the_block_in_flight(slow_tiles):
+    seeds = derive_seeds_from(3, 0, 2000)
+    windows = _pieces(-700, 64)
+    stream = noise.gaussian_stream(seeds, windows, 3, 0.01)
+    next(stream)  # the pool has begun on the second piece
+    stream.close()
+    filled = slow_tiles.filled
+    assert slow_tiles.pool_idles_at_once()
+    assert slow_tiles.filled == filled
+    rows = max(1, noise._TILE_WORDS // (len(seeds) * 3))
+    assert filled < sum(-(-steps // rows) for _, steps in windows[:2])
+    assert getattr(noise._ahead, "block", None) is None
+
+
+def test_a_failed_tile_is_raised_by_the_caller(monkeypatch):
+    # a tile a pool thread could not write is an error of the call, not stale memory
+    monkeypatch.setattr(noise, "_WORKERS", 2)
+    caller = threading.get_ident()
+    real = noise.ndtri
+
+    def pool_fails(u, out):
+        if threading.get_ident() != caller:
+            raise MemoryError("tile")
+        return real(u, out=out)
+
+    monkeypatch.setattr(noise, "ndtri", pool_fails)
+    seeds = derive_seeds_from(3, 0, 2000)
+    failed = 0
+    for _ in range(20):  # the pool thread claims a tile unless the caller takes all 21 first
+        try:
+            gaussian_block(seeds, -700, 41, 3, 0.01)
+        except MemoryError:
+            failed += 1
+    assert failed
 
 
 @pytest.mark.parametrize("first, steps, modes, dt", [
