@@ -20,7 +20,6 @@ control_jacobian gives the per-step blocks of its Gauss-Newton matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,13 +37,11 @@ class Control:
     """Per-step mode coefficients of a control; shape (steps, K).
 
     sq_norm is the squared L2-in-time norm dt * sum |coeffs|^2 (midpoint
-    rule).  bound_M, when given, is an a-priori budget the control must
-    respect.
+    rule).
     """
 
     grid: TimeGrid
     coeffs: np.ndarray
-    bound_M: Optional[float] = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -56,10 +53,6 @@ class Control:
         if not np.all(np.isfinite(coeffs)):
             raise InputError("control contains non-finite coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.bound_M is not None and self.sq_norm > self.bound_M * (1 + 1e-12):
-            raise InputError(
-                f"control norm {self.sq_norm:.6g} exceeds its budget {self.bound_M:.6g}"
-            )
 
     @property
     def sq_norm(self) -> float:

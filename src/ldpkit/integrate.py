@@ -10,9 +10,9 @@ the action discretization (midpoint inversion) is consistent with.
 
 Both run on one engine: per CHECK_EVERY steps, the batched sampler's cadence too, one
 loop builds the drive by mode_drive, steps it with a kernel (em_advance, heun_advance;
-one kick rule b(x) d) and scans for divergence.  It keeps only a record window that
-ends at the grid's end, stepping earlier states into one reusable scratch block, so a
-long run costs the memory of its window.  A model may bring its own EM kernel
+one kick rule b(x) d) and scans for divergence.  It keeps only the run's last `record`
+steps, stepping earlier states into one reusable scratch block, so a long run costs the
+memory of what it records.  A model may bring its own EM kernel
 with em_advance's contract and values (ModelSpec.em_kernel, burgers1d's fused step);
 em_stepper is the one place that picks it, for em_step_sde and the batched sampler.
 """
@@ -28,7 +28,7 @@ from .errors import ConfigurationError, DivergenceError, InputError
 from .grids import (_ALIGN_RTOL, TimeGrid, check_positive, same_spacing, step_offset,
                     uniform_spacing, whole_steps)
 from .models import ModelSpec, drift, h_norm_sq
-from .noise import NoisePath
+from .noise import NoisePath, _as_int
 
 # Trajectories whose H-norm passes this are declared divergent.  Every
 # stepping loop draws its drive, steps and tests for it per CHECK_EVERY steps.
@@ -220,36 +220,21 @@ def heun_advance(model: ModelSpec, x: np.ndarray, times, dt: float,
                 path[i] = x
 
 
-def _record_offset(grid: TimeGrid, window: TimeGrid) -> int:
-    """Step of `grid` at which the record window starts; InputError unless the window
-    is the grid's last window.steps steps, both its ends on the grid's lattice.
-
-    Its ends are placed by whole_steps, whose tolerance grows with the step index:
-    a one-step tail of a long grid far from t = 0 lands on its step although its own
-    dt, a difference of two large times, is further off than same_spacing allows."""
-    off = grid.steps - window.steps
-    wrong = (f"record window [{window.t_start}, {window.t_end}] is not the last "
-             f"{window.steps} steps of {grid}: it must lie on its lattice and end at t_end")
-    ends = [whole_steps((t - grid.t_start) / grid.dt, wrong)
-            for t in (window.t_start, window.t_end)]
-    if off < 0 or ends != [off, grid.steps]:
-        raise InputError(wrong)
-    return off
-
-
 def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
-                  inc: np.ndarray, eps: float, what: str, window) -> Path:
-    """Path on `window` (a sub-grid ending at grid.t_end, or all of `grid`) of x0, one state
+                  inc: np.ndarray, eps: float, what: str, record) -> Path:
+    """Path on the last `record` steps of `grid` (all of them for None) of x0, one state
     or a block of rows, stepped by `advance` over `grid` on the drive of inc ((steps, K)
     increments or controls) at strength eps, built, stepped and scanned for divergence per
-    CHECK_EVERY steps.  Steps before the window go into one reusable CHECK_EVERY scratch
+    CHECK_EVERY steps.  Steps before the record go into one reusable CHECK_EVERY scratch
     block, scanned alike.  The error names the first diverging step and, for a block, its
     first diverging row (also set as the error's `row`)."""
-    window = grid if window is None else window
-    start = _record_offset(grid, window)
+    record = grid.steps if record is None else _as_int("record", record)
+    if not 1 <= record <= grid.steps:
+        raise InputError(f"record must be 1 to {grid.steps} steps of {grid}, got {record}")
+    start = grid.steps - record
     x = x0.copy()  # stepped in place
     times = grid.times()
-    out = np.empty((grid.steps - start + 1, *x0.shape))
+    out = np.empty((record + 1, *x0.shape))
     scratch = np.empty((min(CHECK_EVERY, grid.steps) if start else 0, *x0.shape))
     if start == 0:
         out[0] = x
@@ -267,22 +252,22 @@ def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
                                   f"(t = {times[step]:.6g})", step=step, time=float(times[step]))
             err.row = row
             raise err
-        if i < start <= j:  # the window opens in this interval
+        if i < start <= j:  # the record opens in this interval
             out[: j + 1 - start] = scratch[start - 1 - i : j - i]
-    return Path(window, out)
+    return Path(grid.tail(record), out)
 
 
 def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
-                eps: float, window=None) -> Path:
-    """Euler-Maruyama trajectory of the noisy equation over `grid`, recorded on `window`.
+                eps: float, record=None) -> Path:
+    """Euler-Maruyama trajectory of the noisy equation over `grid`, its last `record` steps.
 
     x0 is one state (dim,) or a block (rows, dim) of states that all start at
     grid.t_start and share the noise.  The noise record must cover the grid with
     the same spacing; its increments are consumed mode-wise through the model's
-    diffusion.  `window`, a sub-grid on the grid's lattice that ends at grid.t_end
-    (default: the whole grid), is all that is kept: the returned Path holds its
-    states only, so memory follows the window, not the grid.  Every step is taken
-    and checked alike, and the recorded states are the whole run's bit for bit.
+    diffusion.  `record`, an integer from 1 to grid.steps (default: all of them),
+    is all that is kept: the returned Path lies on grid.tail(record), so memory
+    follows the record, not the grid.  Every step is taken and checked alike, and
+    the recorded states are the whole run's bit for bit.
     """
     x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
@@ -292,7 +277,7 @@ def em_step_sde(model: ModelSpec, x0, grid: TimeGrid, noise: NoisePath,
             f"noise carries {noise.modes} modes, model '{model.name}' expects {model.modes}"
         )
     return _checked_path(model, em_stepper(model), x0, grid, noise.restrict(grid).increments,
-                         eps, "trajectory", window)
+                         eps, "trajectory", record)
 
 
 def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
@@ -333,11 +318,11 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
 
 
 def integrate_skeleton(model: ModelSpec, x0, grid: TimeGrid, control=None,
-                       window=None) -> Path:
+                       record=None) -> Path:
     """Heun (explicit trapezoidal) trajectory of the controlled equation; x0 is one
-    state or a block of rows sharing the control, and `window` the sub-grid ending at
-    grid.t_end that is recorded (default: the whole grid), as for em_step_sde."""
+    state or a block of rows sharing the control, and `record` the number of final
+    steps kept (default: all of them), as for em_step_sde."""
     x0 = _check_start(model, x0)
     check_dt(model, grid.dt)
     return _checked_path(model, heun_advance, x0, grid, _control_table(model, grid, control),
-                         1.0, "skeleton trajectory", window)
+                         1.0, "skeleton trajectory", record)

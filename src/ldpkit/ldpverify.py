@@ -202,8 +202,9 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     """Independent stationary states at time 0; shape (n_samples, dim).
 
     Each sample integrates its own derived-seed realization from two
-    rest-state start times; the H-gap between the two runs at time 0
-    must fall below `tol` or the offending seed is reported.
+    rest-state start times, `horizons` (exactly two; default 10 and 20
+    relaxation times); the H-gap between the two runs at time 0 must fall
+    below `tol` or the offending seed is reported.
     """
     check_eps(model, eps)
     n_samples = _as_int("sample count", n_samples)
@@ -216,6 +217,8 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     if horizons is None:
         horizons = [10.0 / model.relax_rate, 20.0 / model.relax_rate]
     steps_list = ladder_steps(horizons, dt, least=1)
+    if len(steps_list) != 2:
+        raise InputError(f"the sampler compares exactly two horizons, got {len(steps_list)}")
 
     seeds = derive_seeds_from(seed, 0, n_samples)
     per_sample = min(CHECK_EVERY, steps_list[-1]) * max(model.modes, model.dim)

@@ -121,10 +121,6 @@ class ModelSpec:
         lo, hi = self.state_box
         return rng.uniform(lo, hi, size=self.dim)
 
-    def trace_q(self) -> float:
-        """Trace of the mode covariance, sum of c_k^2."""
-        return float(np.sum(self.mode_weights**2))
-
 
 # ---------------------------------------------------------------------------
 # norms and shared operations

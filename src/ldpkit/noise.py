@@ -17,10 +17,10 @@ Large blocks are filled in tiles of a few steps.  The tiles are claimed one
 at a time, by the calling thread and by a shared pool of one thread fewer
 than the CPUs this process may run on, so whichever thread is free takes the
 next.  gaussian_stream keeps one block ahead: the pool fills the next
-window's block while the caller uses this one, and the caller claims what is
-left when it asks for it.  Each word depends on its counter alone and each
-tile writes its own rows, so neither the claiming nor the stream can change
-a value.
+window's block while the caller uses this one, and the stream hands that
+block to gaussian_block, where the caller claims what is left.  Each word
+depends on its counter alone and each tile writes its own rows, so neither
+the claiming nor the stream can change a value.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ _TILE_WORDS = 1 << 15
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = (None, None)  # (pid, ThreadPoolExecutor), made on first use
 _pool_lock = threading.Lock()
-_ahead = threading.local()  # .block: set aside by gaussian_stream for this thread's next call
 
 
 def _as_int(name: str, value) -> int:
@@ -226,23 +225,19 @@ class _Block:
         return self.out.reshape(steps, len(self.states), modes).transpose(1, 0, 2)
 
 
-def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float) -> np.ndarray:
+def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float, *,
+                   _started: Optional[_Block] = None) -> np.ndarray:
     """N(0, dt) increments for absolute steps [first_step, first_step+steps).
 
     Returns shape (len(seeds), steps, modes); each seed indexes an
     independent stream, each (step, mode) cell a fixed counter word.  It is
     the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
-    The block gaussian_stream set aside for this call, which the pool has been
-    filling, is finished here rather than started anew.
+    _started is the block of these words gaussian_stream started for this call,
+    which the pool has been filling; it is finished here rather than started anew.
     """
-    key = _window(first_step, steps, modes, dt)
-    states = _stream_states(seeds)
-    block = getattr(_ahead, "block", None)
-    if block is not None and block.key == key and np.array_equal(block.states, states):
-        _ahead.block = None
-    else:
-        block = _Block(states, *key).start()
-    return block.result()
+    if _started is None:
+        _started = _Block(_stream_states(seeds), *_window(first_step, steps, modes, dt)).start()
+    return _started.result()
 
 
 def gaussian_stream(seeds, windows, modes: int, dt: float):
@@ -250,27 +245,24 @@ def gaussian_stream(seeds, windows, modes: int, dt: float):
     next window's block while the caller uses this one.
 
     A generator that keeps one block in flight: when the caller asks for a block,
-    the next one is started, then the asked one is taken by gaussian_block, whose
+    the next one is started, then the asked one is handed to gaussian_block, whose
     unclaimed tiles the caller fills; while the pool writes its last tiles, the
     caller fills the next block's.  So two blocks are alive at a time, if the
-    caller drops each before asking for the next.  Closing the generator (in a
-    try/finally) unclaims the block in flight, so an abandoned stream leaves no work
-    behind and nobody waits on a tile no thread has claimed.
+    caller drops each before asking for the next.  However the generator ends,
+    closed (in a try/finally) or run out, the block in flight is unclaimed, so an
+    abandoned stream leaves no work behind and nobody waits on a tile no thread has
+    claimed.
     """
     keys = [_window(first_step, steps, modes, dt) for first_step, steps in windows]
     states = _stream_states(seeds)
     ahead = _Block(states, *keys[0]).start() if keys else None
     try:
         for k, key in enumerate(keys):
-            block = _ahead.block = ahead
+            block = ahead
             ahead = block.then = (_Block(states, *keys[k + 1]).start() if k + 1 < len(keys)
                                   else None)
-            yield gaussian_block(seeds, *key)  # takes the block set aside for it
+            yield gaussian_block(seeds, *key, _started=block)
     finally:
-        left = getattr(_ahead, "block", None)
-        if left is not None and left.states is states:  # set aside but not taken
-            _ahead.block = None
-            left.settle()
         if ahead is not None:
             ahead.settle()
 

@@ -15,9 +15,9 @@ row at rest, so every step is taken once for all rungs.  Each segment
 steps with its own grid's dt, which can differ from a whole rung's dt in
 the last bit, so ladder outputs can differ at the rounding level from
 integrating each rung alone.  A segment records only what the ladder
-reads: its last step for the next segment's start, and, for the last
-segment, the view window; so a ladder's memory is the view block plus
-the noise record, however long the horizons grow.
+reads, as a count of final steps: its last step for the next segment's
+start, and, for the last segment, the view's steps; so a ladder's memory
+is the view block plus the noise record, however long the horizons grow.
 
 The same ladder applied to the controlled (noise-free) equation yields
 attracting deterministic structures, e.g. the periodic orbit of the
@@ -90,24 +90,24 @@ def _segments(grids: list[TimeGrid]) -> list[TimeGrid]:
 
 
 def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
-                integrate: Callable[[np.ndarray, TimeGrid, TimeGrid], Path], tol: float,
+                integrate: Callable[[np.ndarray, TimeGrid, int], Path], tol: float,
                 seed=None):
     """Integrate the ladder as one row block, measure view-window sup gaps, fit the decay rate.
 
-    `integrate(x0, grid, window)` steps a block x0 of rows over one segment and
-    returns its path on `window`: the last step for every segment but the last,
-    the view for the last.  Row r is the rung with the r-th longest horizon: the
-    longest rung starts alone, and each shorter one joins as a new row at rest
-    when its start step comes, so every step is taken once for all rungs.
+    `integrate(x0, grid, record)` steps a block x0 of rows over one segment and
+    returns its path over the last `record` steps: 1 for every segment but the
+    last, the view's steps for the last.  Row r is the rung with the r-th longest
+    horizon: the longest rung starts alone, and each shorter one joins as a new row
+    at rest when its start step comes, so every step is taken once for all rungs.
     """
     check_positive(tol, "tol")
     horizons = [-g.t_start for g in grids]
     x = np.empty((0, model.dim))
     segments = _segments(grids)
     for k, segment in enumerate(segments):
-        window = view if k == len(segments) - 1 else segment.tail(1)
+        record = view.steps if k == len(segments) - 1 else 1
         try:
-            path = integrate(np.vstack([x, model.pullback_init]), segment, window)
+            path = integrate(np.vstack([x, model.pullback_init]), segment, record)
         except DivergenceError as err:
             rung = len(grids) - 1 - err.row  # its index in ascending horizon order
             step = grids[rung].steps - grids[-1 - k].steps + err.step
@@ -140,7 +140,7 @@ def _run_ladder(model: ModelSpec, view: TimeGrid, grids: list[TimeGrid],
 
 def _em(model: ModelSpec, noise, eps: float):
     """_run_ladder's `integrate` for the noisy equation on one noise record."""
-    return lambda x0, grid, window: em_step_sde(model, x0, grid, noise, eps, window)
+    return lambda x0, grid, record: em_step_sde(model, x0, grid, noise, eps, record)
 
 
 def pullback_stationary(model: ModelSpec, eps: float, seed: int, view: TimeGrid,
@@ -165,8 +165,8 @@ def pullback_skeleton(model: ModelSpec, control, view: TimeGrid,
         horizons = default_horizons(model, view)
     grids = _ladder_grids(view, horizons)
     return _run_ladder(model, view, grids,
-                       lambda x0, grid, window: integrate_skeleton(model, x0, grid, control,
-                                                                   window), tol)
+                       lambda x0, grid, record: integrate_skeleton(model, x0, grid, control,
+                                                                   record), tol)
 
 
 def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,

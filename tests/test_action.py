@@ -199,13 +199,9 @@ def test_gradient_endpoint_zeroing(ou):
     assert np.any(free[0] != 0.0)
 
 
-def test_control_budget_enforced():
+def test_control_sq_norm():
     g = from_dt(0.0, 1.0, 0.1)
-    coeffs = np.ones((10, 1))
-    assert Control(g, coeffs).sq_norm == pytest.approx(1.0)
-    Control(g, coeffs, bound_M=1.0)  # exactly on budget is fine
-    with pytest.raises(InputError):
-        Control(g, coeffs, bound_M=0.5)
+    assert Control(g, np.ones((10, 1))).sq_norm == pytest.approx(1.0)
 
 
 def test_control_validation():

@@ -477,6 +477,8 @@ CONFIG_MISTAKES = [
     pytest.param("verify-ldp", dict(LATE, dt=0.0), [], 2, "InputError", id="verify-ldp-dt-zero"),
     pytest.param("verify-ldp", dict(LATE, horizons=[2.0, 2.0]), [], 2, "InputError",
                  id="verify-ldp-horizons-equal"),
+    pytest.param("verify-ldp", dict(LATE, horizons=[1.0, 2.0, 4.0]), [], 2, "InputError",
+                 id="verify-ldp-three-horizons"),
     pytest.param("verify-ldp", dict(LATE, event={"kind": "coord_ge", "index": -1,
                                                  "threshold": 0.4}), [], 2, "InputError",
                  id="coord-index-negative"),

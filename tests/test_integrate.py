@@ -26,8 +26,8 @@ from ldpkit import (
 )
 import ldpkit.pullback
 from ldpkit.grids import same_spacing
-from ldpkit.integrate import (BLOWUP_NORM, _record_offset, check_dt, check_eps, check_state,
-                              em_advance, em_stepper, mode_drive)
+from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
+                              em_stepper, mode_drive)
 from ldpkit.noise import gaussian_block
 
 
@@ -586,12 +586,12 @@ def test_fused_step_reports_the_same_divergence():
     assert errors[0][2] == 1 and errors[0][0] > 1
 
 
-def _window_runs(model, x0, grid, window, seed=3):
-    """(EM path, Heun path) of x0 over `grid`, recorded on `window`."""
+def _window_runs(model, x0, grid, record, seed=3):
+    """(EM path, Heun path) of x0 over `grid`, recording its last `record` steps."""
     noise = sample_noise(grid, model.modes, seed)
     table = np.cos(np.arange(grid.steps * model.modes) * 0.37).reshape(grid.steps, model.modes)
-    return (em_step_sde(model, x0, grid, noise, min(0.1, model.eps0), window),
-            integrate_skeleton(model, x0, grid, 0.2 * table, window))
+    return (em_step_sde(model, x0, grid, noise, min(0.1, model.eps0), record),
+            integrate_skeleton(model, x0, grid, 0.2 * table, record))
 
 
 @pytest.mark.parametrize("spec", [
@@ -601,8 +601,9 @@ def _window_runs(model, x0, grid, window, seed=3):
 ])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_window_is_the_restricted_full_run(spec, rows):
-    # a recorded window holds the whole run's states on it, byte for byte, wherever
-    # it opens: at step 0, mid-interval, on a CHECK_EVERY boundary or at the last step
+    # a record of the last steps holds the whole run's states on them, byte for byte,
+    # wherever it opens: at step 0, mid-interval, on a CHECK_EVERY boundary or at the
+    # last step
     model = make_model(*spec)
     dt = model.default_dt
     grid = TimeGrid(-600 * dt, 0.0, 600)
@@ -610,48 +611,41 @@ def test_window_is_the_restricted_full_run(spec, rows):
     if rows is not None:
         x0 = np.outer([1.0, -0.5, 2.0], x0)
     full = _window_runs(model, x0, grid, None)
-    times = grid.times()
     for start in (0, 100, 256, 300, 512, 599):
-        window = TimeGrid(float(times[start]), grid.t_end, grid.steps - start)
-        for whole, part in zip(full, _window_runs(model, x0, grid, window)):
-            expected = whole.restrict(window)
-            assert part.grid == expected.grid == window, start
-            assert part.states.shape == expected.states.shape, start
-            assert part.states.tobytes() == expected.states.tobytes(), start
-    for whole, last in zip(full, _window_runs(model, x0, grid, grid.tail(1))):
+        for whole, part in zip(full, _window_runs(model, x0, grid, grid.steps - start)):
+            assert part.grid == grid.tail(grid.steps - start), start
+            assert part.states.shape == whole.states[start:].shape, start
+            assert part.states.tobytes() == whole.states[start:].tobytes(), start
+    for whole, last in zip(full, _window_runs(model, x0, grid, 1)):
         assert last.states.tobytes() == whole.states[-2:].tobytes()
 
 
-def test_window_must_end_on_the_grid(ou):
+def test_record_is_a_step_count_in_range(ou):
     grid = TimeGrid(0.0, 6.0, 600)
     noise = sample_noise(grid, 1, seed=0)
-    times = grid.times()
-    off_lattice = TimeGrid(times[300] + 0.5 * grid.dt, grid.t_end + 0.5 * grid.dt, 300)
-    early_end = TimeGrid(times[100], times[300], 200)
-    outside = TimeGrid(-1.0, grid.t_end, 700)
-    other_spacing = TimeGrid(3.0, 6.0, 150)
-    for window in (off_lattice, early_end, outside, other_spacing):
-        with pytest.raises(InputError, match="is not the last"):
-            em_step_sde(ou, np.array([0.5]), grid, noise, 0.1, window)
-        with pytest.raises(InputError, match="is not the last"):
-            integrate_skeleton(ou, np.array([[0.5], [0.1]]), grid, None, window)
+    for record in (0, grid.steps + 1, 2.0, True):
+        with pytest.raises(InputError, match="record"):
+            em_step_sde(ou, np.array([0.5]), grid, noise, 0.1, record)
+        with pytest.raises(InputError, match="record"):
+            integrate_skeleton(ou, np.array([[0.5], [0.1]]), grid, None, record)
+    assert em_step_sde(ou, np.array([0.5]), grid, noise, 0.1, np.int64(grid.steps)).grid is grid
 
 
 def test_one_step_tail_of_a_long_grid_far_from_zero():
     # a ladder segment's last step: its dt, t_end minus a large t_start, is 6e-9
-    # relatively off the grid's, yet it is the grid's last step
+    # relatively off the grid's, yet it is the grid's last step; a record is a step
+    # count, so no spacing is compared
     grid = TimeGrid(-20.0, -10.0, 10**8)
     assert not same_spacing(grid, grid.tail(1))
-    assert _record_offset(grid, grid.tail(1)) == grid.steps - 1
     assert grid.tail(grid.steps) is grid
 
 
 def test_divergence_before_the_window_is_reported_alike(ou):
     # steps stepped into the scratch block are scanned as the recorded ones:
-    # the error names the same step, time and row whatever the window
-    def error(run, window):
+    # the error names the same step, time and row whatever the record
+    def error(run, record):
         with pytest.raises(DivergenceError) as exc:
-            run(window)
+            run(record)
         return exc.value.step, exc.value.time, exc.value.row, str(exc.value)
 
     g = TimeGrid(0.0, 2.05 * 600, 600)  # ou at dt = 2.05 blows up after step 256
@@ -672,6 +666,5 @@ def test_divergence_before_the_window_is_reported_alike(ou):
     for grid, run in runs:
         whole = error(run, None)
         assert whole[0] > 1
-        for window in (grid.tail(1), grid.tail(grid.steps - whole[0]),
-                       grid.tail(grid.steps - whole[0] + 1), grid.tail(grid.steps - 256)):
-            assert error(run, window) == whole, window
+        for record in (1, grid.steps - whole[0], grid.steps - whole[0] + 1, grid.steps - 256):
+            assert error(run, record) == whole, record

@@ -23,7 +23,7 @@ from ldpkit import (
     save_estimates,
     wilson_interval,
 )
-from ldpkit import ldpverify, make_model, noise
+from ldpkit import ldpverify, make_model
 from ldpkit.integrate import CHECK_EVERY
 from ldpkit.ldpverify import _Z95, line_fit
 from ldpkit.noise import derive_seeds_from, gaussian_block
@@ -174,6 +174,21 @@ def test_sampling_validation(ou, burgers):
         sample_stationary(ou, 0.1, 4, seed=0, horizons=[5.0, 5.0])
 
 
+def test_sampler_takes_exactly_two_horizons(ou, monkeypatch):
+    # the sampler compares the two longest horizons only, so a shorter one would be
+    # stepped and never read: any other count is refused before anything is sampled
+    def sampled(*args):
+        raise AssertionError("sampled before the horizons were checked")
+
+    monkeypatch.setattr(ldpverify, "_pullback_rows", sampled)
+    for horizons in ([5.0, 10.0, 20.0], [2.5, 5.0, 10.0, 20.0]):
+        with pytest.raises(InputError, match="exactly two horizons"):
+            sample_stationary(ou, 0.1, 4, seed=0, horizons=horizons)
+        with pytest.raises(InputError, match="exactly two horizons"):
+            estimate_event(ou, Event.norm_ge(0.5), eps_list=[0.2, 0.1], n_samples=4,
+                           horizons=horizons)
+
+
 def test_negative_horizon_is_a_config_mistake(ou):
     # refused before sampling, not reported as a pullback gap
     with pytest.raises(InputError, match="positive"):
@@ -230,7 +245,6 @@ def test_an_abandoned_run_leaves_no_noise_work(ou, monkeypatch, slow_tiles, stop
     filled = slow_tiles.filled
     assert slow_tiles.pool_idles_at_once()
     assert slow_tiles.filled == filled
-    assert getattr(noise._ahead, "block", None) is None
     assert exc.tb is not None
     monkeypatch.undo()  # the real ndtri and pool
     block = gaussian_block(derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)

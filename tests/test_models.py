@@ -124,12 +124,6 @@ def test_drift_shape_validation(ou):
         drift(ou, np.zeros(2), 0.0)
 
 
-def test_trace_q(ou, burgers):
-    assert ou.trace_q() == pytest.approx(1.0)
-    ks = np.arange(1, 17)
-    assert burgers.trace_q() == pytest.approx(np.sum(ks**-4.0))
-
-
 def test_mode_matrices_h_orthonormal(all_models):
     for model in all_models:
         e = model.mode_matrix

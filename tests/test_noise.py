@@ -266,12 +266,11 @@ def test_stream_is_per_window_blocks_byte_for_byte(monkeypatch, seeds, windows, 
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
             assert g.strides == w.strides
-        assert getattr(noise._ahead, "block", None) is None
 
 
 def test_concurrent_streams_keep_their_own_blocks(monkeypatch):
-    # more streaming threads than CPUs, switching often, on one pool: each thread
-    # takes only the blocks set aside for it, and every piece is its window's words
+    # more streaming threads than CPUs, switching often, on one pool: each stream
+    # hands over only the blocks it started, and every piece is its window's words
     monkeypatch.setattr(noise, "_WORKERS", 3)
     windows = _pieces(-300, 64)
     seeds = [derive_seeds_from(s, 0, 700) for s in range(6)]
@@ -291,13 +290,12 @@ def test_concurrent_streams_keep_their_own_blocks(monkeypatch):
 
 
 def test_other_calls_between_pieces_get_their_own_words(monkeypatch):
-    # the stream's next block is set aside for the stream's own call only: a thread's
-    # other calls between two pieces draw their own words, and the pieces join up
+    # the stream hands its next block to its own call only: a thread's other calls
+    # between two pieces draw their own words, and the pieces join up
     monkeypatch.setattr(noise, "_WORKERS", 2)
     seeds = derive_seeds_from(3, 0, 2000)
     stream = noise.gaussian_stream(seeds, [(-700, 20), (-680, 21)], 3, 0.01)
     first = next(stream)
-    assert getattr(noise._ahead, "block", None) is None
     other = gaussian_block(seeds[:1000], -680, 21, 3, 0.01)  # the next window, other seeds
     second = next(stream)
     whole = gaussian_block(seeds, -700, 41, 3, 0.01)
@@ -317,7 +315,6 @@ def test_closing_a_stream_unclaims_the_block_in_flight(slow_tiles):
     assert slow_tiles.filled == filled
     rows = max(1, noise._TILE_WORDS // (len(seeds) * 3))
     assert filled < sum(-(-steps // rows) for _, steps in windows[:2])
-    assert getattr(noise._ahead, "block", None) is None
 
 
 def test_a_failed_tile_is_raised_by_the_caller(monkeypatch):

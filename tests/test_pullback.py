@@ -134,10 +134,10 @@ def test_non_convergence_raised():
     view = from_dt(-1.0, 0.0, 0.01)
     grids = _ladder_grids(view, [2.0, 3.0, 4.0])
 
-    def stuck(x0, grid, window):
+    def stuck(x0, grid, record):
         # row r holds the value r throughout: constant unit gaps
         rows = np.arange(len(x0), dtype=np.float64)[:, None]
-        return Path(window, np.broadcast_to(rows, (window.steps + 1, *rows.shape)))
+        return Path(grid.tail(record), np.broadcast_to(rows, (record + 1, *rows.shape)))
 
     with pytest.raises(NonConvergenceError) as exc:
         _run_ladder(model, view, grids, stuck, tol=1e-4, seed=77)
@@ -189,8 +189,8 @@ def _ladder_rows(model, eps, noise, view, grids):
     """The ladder's rung rows on the view (shortest horizon first), its path and diagnostics."""
     last = []
 
-    def integrate(x0, grid, window):
-        last[:] = [em_step_sde(model, x0, grid, noise, eps, window)]
+    def integrate(x0, grid, record):
+        last[:] = [em_step_sde(model, x0, grid, noise, eps, record)]
         return last[0]
 
     path, diag = _run_ladder(model, view, grids, integrate, tol=10.0)
