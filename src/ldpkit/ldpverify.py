@@ -29,6 +29,7 @@ from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_stream
 
 _Z95 = 1.959963984540054
 _DRIVE_WORDS = 4_000_000  # drive words of one check interval, summed over a seed chunk
+_BURN_STEP = 0.01  # the burn-in's coarse step, in relaxation times
 
 
 @dataclass(frozen=True)
@@ -152,38 +153,74 @@ def make_estimate(eps: float, event: str, n_samples: int, hits: int) -> MCEstima
                       low_statistics=hits == 0)
 
 
+def _burn_stride(model: ModelSpec, dt: float) -> int:
+    """Fine steps per coarse burn-in step: as many as fit in _BURN_STEP relaxation
+    times and under a known explicit-step bound; at least 1, and 1 with no bound.
+
+    The bound is the model's declared stability ceiling, or, for a linear drift A
+    with additive noise, min |Re mu| / |mu|^2 over A's spectrum: half EM's stability
+    step, where the coarse chain's variance stays within twice the diffusion's.
+    """
+    if model.max_stable_dt is not None:
+        bound = model.max_stable_dt
+    elif model.nonlinear is None and model.unit_diffusion:
+        mu = np.linalg.eigvals(model.linear(np.eye(model.dim)))
+        bound = np.min(-mu.real / np.abs(mu) ** 2) if np.all(mu.real < 0) else 0.0
+    else:
+        return 1
+    m = min(math.floor(_BURN_STEP / (model.relax_rate * dt)), math.floor(bound / dt))
+    return max(1, m)
+
+
 def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
                    dt: float) -> np.ndarray:
     """Time-0 states of one chunk, shape (horizons, n, dim), longest first.
 
     The horizons are blocks of rows of one state that share each step's
     drive, so all see the same realization per seed; a block holds the
-    rest state until its start step.  The noise comes in pieces of at most
-    CHECK_EVERY // 4 steps, one ending after each step j with
-    j % (CHECK_EVERY // 4) == 0 and one at 0, from a gaussian_stream: the
-    noise pool fills the next piece while this thread steps the current one,
-    so two pieces, about half of one check interval's noise, are alive at a
-    time.  The longest horizon is checked for divergence where a check
-    interval ends, after each step j with j % CHECK_EVERY == 0 and at 0.
+    rest state until its start step.  Until the second horizon joins, the
+    longest one only forgets its rest state, so it steps there at m*dt
+    (m = _burn_stride), coarse step k on the word of fine step start + k*m (a
+    strided noise window); its start is rounded down to a whole number of
+    coarse steps before the join, at most m - 1 fine steps earlier.  m = 1
+    steps the whole run at dt.  The noise comes in pieces of at most
+    CHECK_EVERY // 4 steps from one gaussian_stream: coarse pieces from the
+    start to the join, then fine ones, each ending after a step j with
+    j % (CHECK_EVERY // 4) == 0 or at 0.  The noise pool fills the next piece
+    while this thread steps the current one, so two pieces, about half of one
+    check interval's noise, are alive at a time.  The longest horizon is
+    checked for divergence every CHECK_EVERY coarse steps and at the join,
+    then after each step j with j % CHECK_EVERY == 0 and at 0; the error
+    names the last fine step covered, counted from that horizon's start.
     However the run ends, the piece in flight is unclaimed before it returns.
     """
     n = len(seeds)
     starts = sorted(-steps for steps in steps_list)
+    m = _burn_stride(model, dt)
+    join = starts[1] if m > 1 else starts[0]
+    starts[0] = join - m * -(-(join - starts[0]) // m)
     x = np.full((len(starts) * n, model.dim), model.pullback_init)
     piece = CHECK_EVERY // 4
-    ends = [*range(starts[0] + (-starts[0]) % piece + 1, 0, piece), 0]
-    pieces = list(zip([starts[0], *ends], ends))
+    # (first step, end step, stride, checked after it), all on the fine lattice
+    ends = [*range(starts[0] + piece * m, join, piece * m), join] if m > 1 else []
+    pieces = [(w0, w1, m, (w1 - starts[0]) % (CHECK_EVERY * m) == 0 or w1 == join)
+              for w0, w1 in zip([starts[0], *ends], ends)]
+    ends = [*range(join + (-join) % piece + 1, 0, piece), 0]
+    pieces += [(w0, w1, 1, (w1 - 1) % CHECK_EVERY == 0 or w1 == 0)
+               for w0, w1 in zip([join, *ends], ends)]
     advance = em_stepper(model)
-    blocks = gaussian_stream(seeds, [(w0, w1 - w0) for w0, w1 in pieces], model.modes, dt)
+    windows = [(w0, (w1 - w0) // stride, stride) for w0, w1, stride, _ in pieces]
+    blocks = gaussian_stream(seeds, windows, model.modes, dt)
     try:
-        for w0, w1 in pieces:
+        for w0, w1, stride, checked in pieces:
             drive = mode_drive(model, eps, next(blocks), _overwrite=True)  # the loop's own block
             cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
             for j0, j1 in zip(cuts, cuts[1:]):
                 rows = n * sum(s <= j0 for s in starts)
-                advance(model, x[:rows], np.arange(j0, j1) * dt, dt, drive[j0 - w0 : j1 - w0])
+                advance(model, x[:rows], np.arange(j0, j1, stride) * dt, stride * dt,
+                        drive[(j0 - w0) // stride : (j1 - w0) // stride])
             del drive  # release this piece before the one after next is started
-            if (w1 - 1) % CHECK_EVERY and w1 != 0:
+            if not checked:
                 continue  # no check interval ends here
             bad = worst_blowup(model, x[:n])
             if bad is not None:
@@ -204,7 +241,14 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     Each sample integrates its own derived-seed realization from two
     rest-state start times, `horizons` (exactly two; default 10 and 20
     relaxation times); the H-gap between the two runs at time 0 must fall
-    below `tol` or the offending seed is reported.
+    below `tol` or the offending seed is reported.  Until the shorter run
+    starts, the longer one only forgets its rest state and steps at m*dt, on
+    every m-th noise word, from a start rounded down to a whole number of such
+    steps: m = max(1, floor(0.01 / (relax_rate * dt))), capped by a known
+    explicit-step bound, the model's max_stable_dt or, for a linear drift with
+    additive noise, half EM's stability step; m = 1 for other models.  So
+    the samples depend on m; with m = 1 they are those of stepping at dt
+    throughout.
     """
     check_eps(model, eps)
     n_samples = _as_int("sample count", n_samples)

@@ -13,6 +13,14 @@ sub-window of it.
 Step indices are absolute, anchored at t = 0 (index floor is round(t/dt)),
 and may be negative; a zigzag bijection folds them into the counter.
 
+A gaussian_stream window may be strided: with stride m its steps are m
+lattice steps long, and step i takes the word of lattice step
+first_step + m*i, scaled to N(0, m*dt).  It is the block at m*dt of all
+m*steps lattice steps, sliced [:, ::m], without drawing the words it skips.
+The counter map is unchanged (no stream-version bump), so a strided window
+shares no word with an unstrided one over other lattice steps.  The batched
+sampler steps its burn-in on such windows.
+
 Large blocks are filled in tiles of a few steps.  The tiles are claimed one
 at a time, by the calling thread and by a shared pool of one thread fewer
 than the CPUs this process may run on, so whichever thread is free takes the
@@ -123,17 +131,20 @@ def _executor():
         return _pool[1]
 
 
-def _window(first_step, steps, modes, dt) -> tuple:
-    """The checked (first_step, steps, modes, dt) of one block."""
+def _window(first_step, steps, modes, dt, stride=1) -> tuple:
+    """The checked (first_step, steps, modes, dt, stride) of one block."""
     first_step = _as_int("first step", first_step)
     steps = _as_int("step count", steps)
     modes = _as_int("mode count", modes)
+    stride = _as_int("stride", stride)
     if modes < 1:
         raise InputError(f"mode count must be positive, got {modes}")
     if steps < 0:
         raise InputError("step count must be non-negative")
+    if stride < 1:
+        raise InputError(f"stride must be positive, got {stride}")
     check_positive(dt, "dt")
-    return first_step, steps, modes, float(dt)
+    return first_step, steps, modes, float(dt), stride
 
 
 class _Block:
@@ -141,14 +152,16 @@ class _Block:
     whichever thread asks next, the pool's or the caller's, and each is filled by the
     thread that claimed it."""
 
-    def __init__(self, states, first_step: int, steps: int, modes: int, dt: float):
-        self.key = (first_step, steps, modes, dt)
+    def __init__(self, states, first_step: int, steps: int, modes: int, dt: float,
+                 stride: int = 1):
+        self.key = (first_step, steps, modes, dt, stride)
         self.states = states
         # state + (z*modes + k + 1)*GOLDEN mod 2**64 as (seed, mode) part + step part
         self.base = (states[:, None] + np.arange(1, modes + 1, dtype=np.uint64) * _GOLDEN).ravel()
-        self.step_part = (_zigzag(first_step + np.arange(steps)) * np.uint64(modes) * _GOLDEN)[:, None]
+        z = _zigzag(np.arange(first_step, first_step + stride * steps, stride))
+        self.step_part = (z * np.uint64(modes) * _GOLDEN)[:, None]
         self.out = np.empty((steps, self.base.size))
-        self.scale = np.sqrt(dt)
+        self.scale = np.sqrt(stride * dt)
         self.rows = max(1, _TILE_WORDS // max(1, self.base.size))
         self.tiles = -(-steps // self.rows)
         self.claimed = 0  # tiles handed out, in order
@@ -221,7 +234,7 @@ class _Block:
             self.settle()
         if self.error is not None:
             raise self.error
-        _, steps, modes, _ = self.key
+        _, steps, modes, _, _ = self.key
         return self.out.reshape(steps, len(self.states), modes).transpose(1, 0, 2)
 
 
@@ -233,7 +246,8 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float, *,
     independent stream, each (step, mode) cell a fixed counter word.  It is
     the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
     _started is the block of these words gaussian_stream started for this call,
-    which the pool has been filling; it is finished here rather than started anew.
+    which the pool has been filling; it is finished here rather than started anew
+    (a strided window's block, too).
     """
     if _started is None:
         _started = _Block(_stream_states(seeds), *_window(first_step, steps, modes, dt)).start()
@@ -241,8 +255,9 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float, *,
 
 
 def gaussian_stream(seeds, windows, modes: int, dt: float):
-    """gaussian_block for each (first_step, steps) window in turn, the pool filling the
-    next window's block while the caller uses this one.
+    """gaussian_block for each window, (first_step, steps) or (first_step, steps,
+    stride), in turn, the pool filling the next window's block while the caller uses
+    this one.
 
     A generator that keeps one block in flight: when the caller asks for a block,
     the next one is started, then the asked one is handed to gaussian_block, whose
@@ -253,7 +268,8 @@ def gaussian_stream(seeds, windows, modes: int, dt: float):
     abandoned stream leaves no work behind and nobody waits on a tile no thread has
     claimed.
     """
-    keys = [_window(first_step, steps, modes, dt) for first_step, steps in windows]
+    keys = [_window(first_step, steps, modes, dt, *stride)
+            for first_step, steps, *stride in windows]
     states = _stream_states(seeds)
     ahead = _Block(states, *keys[0]).start() if keys else None
     try:
@@ -261,7 +277,7 @@ def gaussian_stream(seeds, windows, modes: int, dt: float):
             block = ahead
             ahead = block.then = (_Block(states, *keys[k + 1]).start() if k + 1 < len(keys)
                                   else None)
-            yield gaussian_block(seeds, *key, _started=block)
+            yield gaussian_block(seeds, *key[:4], _started=block)
     finally:
         if ahead is not None:
             ahead.settle()

@@ -38,6 +38,22 @@ def burgers():
 
 
 @pytest.fixture(scope="session")
+def non_normal():
+    """A linear 3x3 model R (-D + N) R^T, N strictly upper triangular: Hurwitz with
+    eigenvalues -D, non-normal, on rotated modes of unequal weights."""
+    rng = np.random.default_rng(8)
+    R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    D = np.array([0.5, 0.8, 1.5])
+    M = R @ (np.triu(rng.uniform(-2.0, 2.0, (3, 3)), 1) - np.diag(D)) @ R.T
+    modes = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return ModelSpec(
+        name="linear3d", dim=3, linear=lambda u: u @ M.T, drift_jacT=lambda u, t, y: y @ M,
+        constants=HypothesisConstants(lam=D.min(), c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
+        state_box=(-2.0, 2.0), relax_rate=D.min(), mode_matrix=modes,
+        mode_weights=np.array([1.0, 0.7, 1.3]))
+
+
+@pytest.fixture(scope="session")
 def all_models(ou, periodic, lin_a1, lin_a2, hopf, burgers):
     return [ou, periodic, lin_a1, lin_a2, hopf, burgers]
 

@@ -52,10 +52,16 @@ def digests() -> dict:
     ests = [make_estimate(eps, "t", 1000, hits)
             for eps, hits in ((0.4, 300), (0.2, 90), (0.1, 12), (0.05, 2))]
     return {
+        # m = 3 at dt 0.01, and one fine step per burn-in step at dt 0.02
         "sample linear2d-a2": _sha(sample_stationary(a2, 0.2, 64, seed=5, dt=0.01,
                                                      horizons=[5.0, 10.0], tol=1.0)),
+        "sample linear2d-a2 fine": _sha(sample_stationary(a2, 0.2, 64, seed=5, dt=0.02,
+                                                          horizons=[5.0, 10.0], tol=1.0)),
         "sample burgers1d": _sha(sample_stationary(small, 0.05, 4, seed=3,
                                                    horizons=[0.3, 0.6], tol=1.0)),
+        # a burn-in of coarse steps (3 dt) in the fused kernel
+        "sample burgers1d coarse": _sha(sample_stationary(small, 0.05, 4, seed=3, dt=dt / 2,
+                                                          horizons=[0.3, 0.6], tol=1.0)),
         "em burgers1d": _sha(em_step_sde(small, x0, grid, sample_noise(grid, small.modes, 1),
                                          0.05).states),
         # the fused step's b(u) sums u*u over the rows of a padded buffer

@@ -24,6 +24,7 @@ from ldpkit import (
     sample_stationary,
     save_path,
 )
+import ldpkit.ldpverify
 import ldpkit.pullback
 from ldpkit.grids import same_spacing
 from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
@@ -203,16 +204,24 @@ def test_stepping_frozen_values(burgers):
         "71323aba0e9f9d985276c31a92e2afebbc45f984f33cf41ec292a73bedb593c9")
 
 
+_COARSE_SAMPLES = {  # the sampler at half the default dt, pinned with the coarse burn-in
+    "multiplicative": "4d0f7b80316a4b4b48afd2e04e8064359c35c4eeea4eca65a66b23dbc887105d",
+    "additive": "405acf8a7b75af074381c1e5c9748f93e7af67d7769cc996aececdc8098c15c0",
+}
+
+
 @pytest.mark.parametrize("diffusion, ladder, samples", [
     ("multiplicative", "5767531c5d6ba2e05fc141d95fe764ee8af6e31742c5f773401179d624cb3536",
      "9f758cb8427802295509cfe1676df1b063edecf1f64940d0b4e408610f7f2146"),
     ("additive", "c3139e13e6284e9316bb63889f3bcac454a5f3bf03f36a7301c33af951a8fab2",
      "720d31c04d8ecd107fc7709194691545173d11dd1ca1117fb6facef9b6250029"),
 ])
-def test_pullback_and_sampler_frozen_values(diffusion, ladder, samples):
+def test_pullback_and_sampler_frozen_values(diffusion, ladder, samples, monkeypatch):
     # frozen-seed burgers1d outputs of the two block steppers: a three-rung
     # ladder (its view path and gaps) and the sampler over more than two
-    # check intervals, pinned before the fused EM kernel replaced the generic step
+    # check intervals, pinned before the fused EM kernel replaced the generic step.
+    # The sampler takes one fine step per burn-in step at the default dt, as it did
+    # then; at half of it, it steps its burn-in at 3 dt (pinned with the coarse burn-in).
     def sha256(a):
         return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
 
@@ -222,8 +231,13 @@ def test_pullback_and_sampler_frozen_values(diffusion, ladder, samples):
     path, diag = pullback_stationary(small, 0.05, 7, view, horizons=[0.3, 0.6, 1.2], tol=1e-3)
     assert diag.converged
     assert sha256(np.append(path.states, diag.gaps)) == ladder
-    assert sha256(sample_stationary(small, 0.05, 3, seed=11, horizons=[0.2, 0.4],
-                                    tol=1.0)) == samples
+    kw = dict(seed=11, horizons=[0.2, 0.4], tol=1.0)
+    assert ldpkit.ldpverify._burn_stride(small, dt) == 1
+    assert sha256(sample_stationary(small, 0.05, 3, **kw)) == samples
+    assert ldpkit.ldpverify._burn_stride(small, dt / 2) == 3
+    assert sha256(sample_stationary(small, 0.05, 3, dt=dt / 2, **kw)) == _COARSE_SAMPLES[diffusion]
+    monkeypatch.setattr(ldpkit.ldpverify, "_burn_stride", lambda model, dt: 1)
+    assert sha256(sample_stationary(small, 0.05, 3, **kw)) == samples
 
 
 def test_save_load_roundtrip(tmp_path, lin_a2):

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.special import erfc
 
 from ldpkit import (
@@ -26,6 +29,7 @@ from ldpkit import (
 from ldpkit import ldpverify, make_model
 from ldpkit.integrate import CHECK_EVERY
 from ldpkit.ldpverify import _Z95, line_fit
+from ldpkit.models import drift
 from ldpkit.noise import derive_seeds_from, gaussian_block
 
 
@@ -109,22 +113,36 @@ def test_sampling_is_deterministic_and_seed_sensitive(ou):
     assert a.shape == (64, 1)
 
 
-def test_sampling_frozen_values(ou, lin_a1, lin_a2):
+def test_sampling_frozen_values(ou, lin_a1, lin_a2, monkeypatch):
     # frozen-seed samples are part of the reproducibility contract: a faster
-    # engine must reproduce these bytes exactly
+    # engine must reproduce these bytes exactly.  The first digest of each row was
+    # pinned before the coarse burn-in and is reproduced with one fine step per
+    # burn-in step; the second is the default path's.  ou at dt 0.01 and burgers1d
+    # at its default dt already take m = 1, the planar models at dt 0.005 m = 6.
     def sha256(a):
         return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
 
-    assert sha256(sample_stationary(ou, 0.1, 64, seed=1, dt=0.01)) == (
-        "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc")
-    assert sha256(sample_stationary(lin_a1, 0.2, 64, seed=5, dt=0.005)) == (
-        "03afdb8ee19056a69b7fecfc377f7127f54221e2265e7011231cccd6d4c00b5e")
-    # the rotation and the non-identity mode matrix: fixed-order products
-    assert sha256(sample_stationary(lin_a2, 0.2, 64, seed=5, dt=0.005)) == (
-        "8ac47f6aee83db26b92d185a50de8ca015475f2c6d9597d1b954ba918cf3aa3a")
     small = make_model("burgers1d", {"grid": 19, "K": 8})
-    assert sha256(sample_stationary(small, 0.05, 8, seed=3)) == (
-        "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d")
+    rows = [
+        (ou, 0.1, 64, 1, 0.01,
+         "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc",
+         "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc"),
+        (lin_a1, 0.2, 64, 5, 0.005,
+         "03afdb8ee19056a69b7fecfc377f7127f54221e2265e7011231cccd6d4c00b5e",
+         "4a8922188c7042911c008a8e24efe46a4ae394cc57d297f37d70f309da520364"),
+        # the rotation and the non-identity mode matrix: fixed-order products
+        (lin_a2, 0.2, 64, 5, 0.005,
+         "8ac47f6aee83db26b92d185a50de8ca015475f2c6d9597d1b954ba918cf3aa3a",
+         "85b80fc87d981c955ef79a67556ee4afd3a7dc335b82d2758032860b59e8fb6e"),
+        (small, 0.05, 8, 3, None,
+         "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d",
+         "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d"),
+    ]
+    for model, eps, n, seed, dt, fine, default in rows:
+        with monkeypatch.context() as m:
+            m.setattr(ldpverify, "_burn_stride", lambda model, dt: 1)
+            assert sha256(sample_stationary(model, eps, n, seed=seed, dt=dt)) == fine, model.name
+        assert sha256(sample_stationary(model, eps, n, seed=seed, dt=dt)) == default, model.name
 
 
 def test_sampling_chunking_invariance(ou, all_models, monkeypatch):
@@ -255,20 +273,121 @@ def test_an_abandoned_run_leaves_no_noise_work(ou, monkeypatch, slow_tiles, stop
 def test_sampler_noise_memory_is_half_a_check_interval(lin_a1):
     # one check interval of noise is 1953 samples x 256 steps x 2 modes, about 10^6
     # words (7.6 MiB).  Quarter-interval pieces, two alive at a time, hold half of
-    # that.  The slack covers a tile in the making per thread (0.3 MiB each), the
-    # states, the samples and per-step temporaries.  So a third live piece (1.9 MiB
-    # more), one whole interval at a time (8.6 MiB at the previous engine) and a
-    # double buffer of whole intervals (15 MiB and more) all fail the bound.
+    # that, fine or coarse.  The slack covers a tile in the making per thread (0.3 MiB
+    # each), the states, the samples and per-step temporaries.  So a third live piece
+    # (1.9 MiB more), one whole interval at a time (8.6 MiB at the previous engine), a
+    # double buffer of whole intervals (15 MiB and more), the burn-in drawn as one
+    # block (34 MiB at dt 0.01) and its m - 1 = 332 leftover fine steps drawn as one
+    # block (9.9 MiB at dt 1e-4) all fail the bound.
     n = 1953
     interval = n * CHECK_EVERY * lin_a1.modes * 8
     slack = 2 * 2**20
-    tracemalloc.start()
-    try:
-        sample_stationary(lin_a1, 0.2, n, seed=5, dt=0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= interval / 2 + slack
+    runs = [(0.05, None, 1e-3),  # m = 1
+            (0.01, None, 1e-3),  # m = 3, over 1111 coarse steps
+            # m = 333, more than four pieces' fine steps, over 300 coarse steps; the
+            # 256 fine steps do not converge, which does not matter here
+            (1e-4, [0.0256, 0.0256 + (333 * 299 + 332) * 1e-4], 10.0)]
+    for dt, horizons, tol in runs:
+        tracemalloc.start()
+        try:
+            sample_stationary(lin_a1, 0.2, n, seed=5, dt=dt, horizons=horizons, tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= interval / 2 + slack, dt
+
+
+def test_burn_in_step_is_inside_the_em_stability_region(all_models):
+    # EM on x' = A x is stable for a step h with |1 + h mu| < 1 over A's spectrum, i.e.
+    # h < 2 |Re mu| / |mu|^2; for the nonlinear models over f' on the working domain.
+    # The coarse burn-in step m dt stays inside it at each model's default dt and at
+    # the dts the gate samples with (criteria 01, 02 and 05).  The nonlinear models
+    # declare no ceiling, so they take m = 1
+    limits = {"ou": 2.0, "linear2d-a1": 2.0 / 0.3, "linear2d-a2": 0.6 / (0.3**2 + 2.0**2),
+              "periodic1d": 1.0 / 3.0,  # f' in [-6, -4]
+              "hopf-radial": 0.19}  # f'(2) = -10.5 on the annulus [1.4, 2]
+    for model in all_models:
+        if model.name == "burgers1d":
+            continue
+        for dt in {model.default_dt, 1e-3, 2e-3, 5e-3}:
+            m = ldpverify._burn_stride(model, dt)
+            assert m * dt <= max(dt, 0.01 / model.relax_rate), (model.name, dt)
+            assert m * dt < limits[model.name], (model.name, dt)
+            assert m == 1 or model.nonlinear is None, (model.name, dt)
+    # lambda and beta are model parameters: a fast rotation on a slow contraction
+    # caps m dt by half the stability step, lambda / (lambda^2 + beta^2), not by 0.01 / lambda
+    for lam, beta in ((0.1, 2.0), (0.01, 5.0), (0.05, 30.0), (1.0, 0.0)):
+        model = make_model("linear2d-a2", {"lambda": lam, "beta": beta})
+        for dt in (1e-4, 1e-3, 1e-2):
+            m = ldpverify._burn_stride(model, dt)
+            assert m * dt <= max(dt, min(0.01 / lam, lam / (lam**2 + beta**2))), (lam, beta, dt)
+    # burgers1d is bound by its own ceiling: m = 2 at 64 points, 1 at its ceiling
+    (burgers,) = (model for model in all_models if model.name == "burgers1d")
+    for dt in (burgers.default_dt, burgers.default_dt / 3, burgers.max_stable_dt):
+        m = ldpverify._burn_stride(burgers, dt)
+        assert m <= burgers.max_stable_dt / dt
+    assert ldpverify._burn_stride(burgers, burgers.default_dt) == 2
+    assert ldpverify._burn_stride(burgers, burgers.max_stable_dt) == 1
+
+
+def test_a_fast_rotation_samples_with_a_stable_burn_in():
+    # lambda 0.1, beta 2 at dt 1e-3: 0.01 relaxation times would be 100 dt, where EM
+    # grows |x|^2 by 1.02 a step, about e^10 over the burn-in, and the fine stretch's
+    # e^-10 would leave a gap of order 1.  Half the stability step allows m = 24
+    model = make_model("linear2d-a2", {"lambda": 0.1, "beta": 2.0})
+    assert ldpverify._burn_stride(model, model.default_dt) == 24
+    x = sample_stationary(model, 0.2, 8, seed=2)  # the pullback gap is checked inside
+    assert np.all(np.abs(x) < 5.0)
+
+
+@pytest.mark.parametrize("relax_rate, dt, horizons, join", [
+    # m = 100: m dt = 10 maps x to -9 x + noise, past the blow-up norm in eleven
+    # coarse steps, first seen by the check at the join
+    (1e-3, 0.1, [100.0, 203.7], True),
+    # m = 202: m dt = 2.02 maps x to -1.02 x + noise, first seen by a check after a
+    # whole number of CHECK_EVERY coarse steps, well before the join
+    (0.01 / (202.5 * 0.01), 0.01, [10.0, 2400.0], False),
+], ids=["at the join", "after whole check intervals"])
+def test_an_unstable_burn_in_step_is_a_divergence(ou, relax_rate, dt, horizons, join):
+    # a spec whose relaxation rate is far below its drift's rate, and whose declared
+    # stability ceiling its drift does not keep, gets a coarse step outside the EM
+    # stability region; the error names the seed, and its step and time sit on the
+    # fine lattice, at the last fine step the checked coarse step covers
+    spec = dataclasses.replace(ou, relax_rate=relax_rate, max_stable_dt=100.0)
+    m = ldpverify._burn_stride(spec, dt)
+    assert m * dt > 2.0
+    first, second = (-round(h / dt) for h in reversed(horizons))
+    start = second - m * -(-(second - first) // m)  # whole coarse steps before the join
+    with pytest.raises(DivergenceError) as exc:
+        sample_stationary(spec, 0.1, 3, seed=4, dt=dt, horizons=horizons)
+    seeds = [str(s) for s in derive_seeds_from(4, 0, 3)]
+    assert re.search(r"derived seed (\d+)", str(exc.value)).group(1) in seeds
+    step = exc.value.step
+    if join:
+        assert step == second - start - 1
+    else:
+        assert step < second - start - 1
+        assert (step + 1) % (CHECK_EVERY * m) == 0
+    assert exc.value.time == (start + step) * dt
+
+
+def test_sampler_covariance_is_the_em_chain_law(lin_a2, non_normal):
+    # for linear drift A the EM chain x' = M x + sqrt(eps dt) Q c xi, M = I + dt A, has
+    # the Gaussian law N(0, eps C_dt) with C_dt = M C_dt M^T + dt Q diag(c^2) Q^T.  The
+    # coarse burn-in leaves it unchanged up to its e^-10 damping.  Each second moment
+    # of the n samples lies within 4 standard errors sqrt((C_ii C_jj + C_ij^2) / n)
+    # of it.  On linear2d-a2 at dt 0.01, C_dt is 7% above the continuous law, about 5
+    # standard errors, which this check tells apart.
+    eps, dt = 0.2, 0.01
+    for model, n in ((lin_a2, 10_000), (non_normal, 5_000)):
+        assert ldpverify._burn_stride(model, dt) > 1
+        A = drift(model, np.eye(model.dim), 0.0).T
+        Q = model.mode_matrix * model.mode_weights
+        M = np.eye(model.dim) + dt * A
+        C = eps * solve_discrete_lyapunov(M, dt * Q @ Q.T)
+        x = sample_stationary(model, eps, n, seed=31, dt=dt)
+        se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / n)
+        assert np.all(np.abs(x.T @ x / n - C) <= 4.0 * se), model.name
 
 
 def test_multiplicative_sampler_matches_the_ito_density(gradient_flow):

@@ -6,9 +6,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from ldpkit import (
     ConfigurationError,
-    HypothesisConstants,
     InputError,
-    ModelSpec,
     OptimizationStalledError,
     Path,
     TimeGrid,
@@ -291,25 +289,11 @@ def _gaussian_rate_matrix(model):
     return np.linalg.inv(solve_continuous_lyapunov(A, -Q @ Q.T))
 
 
-def _non_normal_model():
-    # R (-D + N) R^T with N strictly upper triangular: Hurwitz, eigenvalues -D
-    rng = np.random.default_rng(8)
-    R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    D = np.array([0.5, 0.8, 1.5])
-    M = R @ (np.triu(rng.uniform(-2.0, 2.0, (3, 3)), 1) - np.diag(D)) @ R.T
-    modes = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    return ModelSpec(
-        name="linear3d", dim=3, linear=lambda u: u @ M.T, drift_jacT=lambda u, t, y: y @ M,
-        constants=HypothesisConstants(lam=D.min(), c0=0.0, c1=1.0, beta0=0.0, d0=1.0),
-        state_box=(-2.0, 2.0), relax_rate=D.min(), mode_matrix=modes,
-        mode_weights=np.array([1.0, 0.7, 1.3]))
-
-
 @pytest.mark.parametrize("name", ["ou", "linear2d-a1", "linear2d-a2", "non-normal 3x3"])
-def test_quasipotential_equals_the_gaussian_rate(name):
+def test_quasipotential_equals_the_gaussian_rate(name, non_normal):
     # for linear drift the invariant law is N(0, eps C), so the transition
     # cost from rest is V(x) = x^T C^{-1} x / 2
-    model = _non_normal_model() if name == "non-normal 3x3" else make_model(name)
+    model = non_normal if name == "non-normal 3x3" else make_model(name)
     P = _gaussian_rate_matrix(model)
     rng = np.random.default_rng(6)
     for _ in range(3):

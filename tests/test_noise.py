@@ -268,6 +268,38 @@ def test_stream_is_per_window_blocks_byte_for_byte(monkeypatch, seeds, windows, 
             assert g.strides == w.strides
 
 
+@pytest.mark.parametrize("seeds, first, steps, modes, stride", [
+    (derive_seeds_from(3, 0, 2000), -701, 64, 2, 6),  # many tiles, as the burn-in draws them
+    (derive_seeds_from(4, 0, 9000), -3, 5, 2, 2),     # one-step tiles
+    ([1, 2, 3], -50, 20, 4, 3),                       # one tile
+    ([1, 2, 3], 7, 0, 4, 5),                          # no steps
+    ([1, 2, 3], -50, 20, 4, 1),                       # the unstrided block
+])
+def test_strided_window_is_every_stride_th_word(monkeypatch, seeds, first, steps, modes,
+                                                stride):
+    # stride m: step i is m lattice steps long and takes step first + m*i's word, so
+    # the stream's block is the unstrided one at m*dt sliced [:, ::m], byte for byte,
+    # without the words it skips; the windows around it are drawn at dt as before
+    dt = 0.01
+    fine = gaussian_block(seeds, first, steps * stride, modes, stride * dt)[:, ::stride]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(noise, "_WORKERS", workers)
+        got = list(noise.gaussian_stream(seeds, [(first - 9, 9), (first, steps, stride),
+                                                 (first, steps)], modes, dt))
+        assert got[1].tobytes() == fine.tobytes()
+        assert got[0].tobytes() == gaussian_block(seeds, first - 9, 9, modes, dt).tobytes()
+        assert got[2].tobytes() == gaussian_block(seeds, first, steps, modes, dt).tobytes()
+
+
+@pytest.mark.parametrize("stride", [0, -2, 2.0, True, False, None])
+def test_stride_must_be_a_positive_integer(stride):
+    with pytest.raises(InputError, match="stride"):
+        noise._window(0, 4, 2, 0.1, stride)
+    with pytest.raises(InputError, match="stride"):
+        next(noise.gaussian_stream([1, 2], [(0, 4, stride)], 2, 0.1))
+    assert noise._window(0, 4, 2, 0.1, np.int64(3))[-1] == 3
+
+
 def test_concurrent_streams_keep_their_own_blocks(monkeypatch):
     # more streaming threads than CPUs, switching often, on one pool: each stream
     # hands over only the blocks it started, and every piece is its window's words
