@@ -133,6 +133,8 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     """95% score interval for a binomial proportion; valid down to 0 hits."""
     if n < 1:
         raise InputError(f"need at least one sample, got {n}")
+    if not 0 <= hits <= n:
+        raise InputError(f"hit count {hits} inconsistent with {n} samples")
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -174,51 +176,45 @@ def _burn_stride(model: ModelSpec, dt: float) -> int:
 
 def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
                    dt: float) -> np.ndarray:
-    """Time-0 states of one chunk, shape (horizons, n, dim), longest first.
+    """Time-0 states of one chunk, shape (2, n, dim), the longer horizon first.
 
-    The horizons are blocks of rows of one state that share each step's
-    drive, so all see the same realization per seed; a block holds the
-    rest state until its start step.  Until the second horizon joins, the
-    longest one only forgets its rest state, so it steps there at m*dt
+    The horizons are two blocks of n rows of one state that share each step's
+    drive, so both see the same realization per seed.  The burn-in, from the
+    longer horizon's start to the shorter one's, steps the longer one's rows
+    alone; they only forget their rest state, so they step at m*dt
     (m = _burn_stride), coarse step k on the word of fine step start + k*m (a
-    strided noise window); its start is rounded down to a whole number of
-    coarse steps before the join, at most m - 1 fine steps earlier.  m = 1
-    steps the whole run at dt.  The noise comes in pieces of at most
-    CHECK_EVERY // 4 steps from one gaussian_stream: coarse pieces from the
-    start to the join, then fine ones, each ending after a step j with
-    j % (CHECK_EVERY // 4) == 0 or at 0.  The noise pool fills the next piece
-    while this thread steps the current one, so two pieces, about half of one
-    check interval's noise, are alive at a time.  The longest horizon is
-    checked for divergence every CHECK_EVERY coarse steps and at the join,
-    then after each step j with j % CHECK_EVERY == 0 and at 0; the error
-    names the last fine step covered, counted from that horizon's start.
-    However the run ends, the piece in flight is unclaimed before it returns.
+    strided noise window), from a start rounded down to whole coarse steps.
+    The joint run then steps all 2n rows at dt to 0.  Each stretch comes in
+    pieces of CHECK_EVERY // 4 of its own steps from its first step, each one
+    gaussian_stream window, mode_drive and advance; the pool fills the next
+    piece while this thread steps one, so two pieces, about half of one check
+    interval's noise, are alive at a time.  As integrate._checked_path does, the
+    longer horizon is checked for divergence after every CHECK_EVERY steps of a
+    stretch and at its end; the error names the last fine step covered, counted
+    from that horizon's start.  However the run ends, the piece in flight is
+    unclaimed.
     """
     n = len(seeds)
-    starts = sorted(-steps for steps in steps_list)
+    short, long = steps_list
     m = _burn_stride(model, dt)
-    join = starts[1] if m > 1 else starts[0]
-    starts[0] = join - m * -(-(join - starts[0]) // m)
-    x = np.full((len(starts) * n, model.dim), model.pullback_init)
+    burn = -(-(long - short) // m)  # coarse steps, the start rounded down to whole ones
+    start = -short - burn * m
     piece = CHECK_EVERY // 4
-    # (first step, end step, stride, checked after it), all on the fine lattice
-    ends = [*range(starts[0] + piece * m, join, piece * m), join] if m > 1 else []
-    pieces = [(w0, w1, m, (w1 - starts[0]) % (CHECK_EVERY * m) == 0 or w1 == join)
-              for w0, w1 in zip([starts[0], *ends], ends)]
-    ends = [*range(join + (-join) % piece + 1, 0, piece), 0]
-    pieces += [(w0, w1, 1, (w1 - 1) % CHECK_EVERY == 0 or w1 == 0)
-               for w0, w1 in zip([join, *ends], ends)]
+    pieces = []  # (rows, first fine step, steps of `stride` fine ones, stride, checked after it)
+    for rows, first, steps, stride in ((n, start, burn, m), (2 * n, -short, short, 1)):
+        for k in range(0, steps, piece):
+            size = min(piece, steps - k)
+            checked = (k + size) % CHECK_EVERY == 0 or k + size == steps
+            pieces.append((rows, first + k * stride, size, stride, checked))
+    x = np.full((2 * n, model.dim), model.pullback_init)
     advance = em_stepper(model)
-    windows = [(w0, (w1 - w0) // stride, stride) for w0, w1, stride, _ in pieces]
-    blocks = gaussian_stream(seeds, windows, model.modes, dt)
+    blocks = gaussian_stream(seeds, [(w0, size, stride) for _, w0, size, stride, _ in pieces],
+                             model.modes, dt)
     try:
-        for w0, w1, stride, checked in pieces:
+        for rows, w0, size, stride, checked in pieces:
             drive = mode_drive(model, eps, next(blocks), _overwrite=True)  # the loop's own block
-            cuts = [w0, *(s for s in starts if w0 < s < w1), w1]  # where a block joins
-            for j0, j1 in zip(cuts, cuts[1:]):
-                rows = n * sum(s <= j0 for s in starts)
-                advance(model, x[:rows], np.arange(j0, j1, stride) * dt, stride * dt,
-                        drive[(j0 - w0) // stride : (j1 - w0) // stride])
+            w1 = w0 + size * stride
+            advance(model, x[:rows], np.arange(w0, w1, stride) * dt, stride * dt, drive)
             del drive  # release this piece before the one after next is started
             if not checked:
                 continue  # no check interval ends here
@@ -227,10 +223,10 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
                 t = (w1 - 1) * dt
                 raise DivergenceError(f"sample with derived seed {seeds[bad]} diverged at "
                                       f"t = {t:.6g}; smaller dt or eps needed",
-                                      step=w1 - 1 - starts[0], time=t)
+                                      step=w1 - 1 - start, time=t)
     finally:
         blocks.close()  # unclaims the piece in flight, if any
-    return x.reshape(len(starts), n, model.dim)
+    return x.reshape(2, n, model.dim)
 
 
 def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
@@ -241,14 +237,15 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     Each sample integrates its own derived-seed realization from two
     rest-state start times, `horizons` (exactly two; default 10 and 20
     relaxation times); the H-gap between the two runs at time 0 must fall
-    below `tol` or the offending seed is reported.  Until the shorter run
-    starts, the longer one only forgets its rest state and steps at m*dt, on
-    every m-th noise word, from a start rounded down to a whole number of such
+    below `tol` or the offending seed is reported.  In the burn-in, until the
+    shorter run starts, the longer one only forgets its rest state and steps at
+    m*dt, on every m-th noise word, from a start rounded down to whole such
     steps: m = max(1, floor(0.01 / (relax_rate * dt))), capped by a known
     explicit-step bound, the model's max_stable_dt or, for a linear drift with
-    additive noise, half EM's stability step; m = 1 for other models.  So
-    the samples depend on m; with m = 1 they are those of stepping at dt
-    throughout.
+    additive noise, half EM's stability step; m = 1 for other models.  The
+    joint run steps both at dt to 0.  Each stretch's pieces and divergence
+    checks count from its own first step and change no sample.  The samples
+    depend on m; with m = 1 they are those of stepping at dt throughout.
     """
     check_eps(model, eps)
     n_samples = _as_int("sample count", n_samples)

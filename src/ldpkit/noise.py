@@ -91,18 +91,25 @@ def derive_seed(seed: int, index: int) -> int:
     Double mixing keeps the child streams out of phase with the parent's
     own counter sequence.
     """
+    index = _as_int("stream index", index)
     if index < 0:
         raise InputError(f"stream index must be non-negative, got {index}")
     return int(derive_seeds_from(seed, index, 1)[0])
 
 
 def derive_seeds_from(seed: int, first_index: int, count: int) -> np.ndarray:
-    """Child seeds for indices [first_index, first_index + count), as uint64."""
+    """Child seeds for indices [first_index, first_index + count), as uint64; index i
+    takes counter i + 1, so the last index is 2**64 - 2."""
+    first_index = _as_int("first stream index", first_index)
+    count = _as_int("stream count", count)
     if first_index < 0 or count < 0:
         raise InputError(
             f"stream index range must be non-negative, got start {first_index} "
             f"count {count}"
         )
+    if first_index + count > _U64_MAX:
+        raise InputError(f"stream indices {first_index} to {first_index + count - 1} pass "
+                         f"the 64-bit counter")
     base = _mix64(np.array([_as_u64(seed) ^ _SALT_DERIVE]))
     idx = np.arange(first_index + 1, first_index + count + 1, dtype=np.uint64)
     return _mix64(base + idx * _GOLDEN)

@@ -27,10 +27,10 @@ from ldpkit import (
     wilson_interval,
 )
 from ldpkit import ldpverify, make_model
-from ldpkit.integrate import CHECK_EVERY
+from ldpkit.integrate import CHECK_EVERY, em_stepper, mode_drive
 from ldpkit.ldpverify import _Z95, line_fit
 from ldpkit.models import drift
-from ldpkit.noise import derive_seeds_from, gaussian_block
+from ldpkit.noise import derive_seeds_from, gaussian_block, gaussian_stream
 
 
 def test_wilson_interval_values():
@@ -45,6 +45,10 @@ def test_wilson_interval_values():
     assert hiN == 1.0
     with pytest.raises(InputError):
         wilson_interval(0, 0)
+    # hits outside [0, n] are refused by name, not left to a math domain error
+    for hits, n in ((5, 3), (-1, 3), (4, 3)):
+        with pytest.raises(InputError, match="inconsistent"):
+            wilson_interval(hits, n)
 
 
 def test_make_estimate_zero_hits():
@@ -63,6 +67,8 @@ def test_estimate_validation():
         MCEstimate(0.1, "e", 10, 11, 1.1, 0.0, 1.0, None, False)
     with pytest.raises(InputError):
         MCEstimate(0.1, "e", 10, -1, 0.0, 0.0, 1.0, None, False)
+    with pytest.raises(InputError, match="inconsistent"):
+        make_estimate(0.1, "e", 3, 5)
 
 
 def test_event_indicators(lin_a2, ou):
@@ -152,8 +158,9 @@ def test_sampling_chunking_invariance(ou, all_models, monkeypatch):
         m.setattr(ldpverify, "_DRIVE_WORDS", 2_000)  # chunks of 7 samples, the last of 1
         b = sample_stationary(ou, 0.1, 50, seed=3, dt=0.01)
     assert np.array_equal(a, b)
-    # every model, over six check intervals with a horizon joining inside the
-    # third: 5 samples in chunks of 2, 2 and 1 against one chunk of 5
+    # every model, over a burn-in of 700 fine steps and a joint run of 600, each
+    # past two check intervals at m = 1: 5 samples in chunks of 2, 2 and 1 against
+    # one chunk of 5
     for model in all_models:
         dt = model.max_stable_dt or 10 * model.default_dt
         kw = dict(dt=dt, horizons=[600 * dt, 1300 * dt], tol=1.0)
@@ -163,6 +170,53 @@ def test_sampling_chunking_invariance(ou, all_models, monkeypatch):
             m.setattr(ldpverify, "_DRIVE_WORDS", pair)
             chunked = sample_stationary(model, model.default_eps, 5, seed=8, **kw)
         assert np.array_equal(one, chunked), model.name
+
+
+# a model and two dts, the first at m = 1, the second at m > 1 where the model has a
+# burn-in bound (hopf-radial has none)
+_SMALL_BURGERS = make_model("burgers1d", {"grid": 19, "K": 8})
+_PIECE_CASES = {
+    "ou": (make_model("ou"), (0.01, 0.001)),
+    "linear2d-a2": (make_model("linear2d-a2"), (0.02, 0.005)),
+    "hopf-radial": (make_model("hopf-radial"), (0.001, 0.005)),
+    "burgers1d": (_SMALL_BURGERS, (_SMALL_BURGERS.default_dt, _SMALL_BURGERS.default_dt / 3)),
+}
+
+
+def _two_stretch_rows(model, eps, seeds, short, long, dt):
+    """The sampler's time-0 rows, each stretch stepped by one advance call on one noise window."""
+    m = ldpverify._burn_stride(model, dt)
+    burn = -(-(long - short) // m)  # whole coarse steps, the start rounded down
+    n = len(seeds)
+    stretches = [(n, -short - burn * m, burn, m), (2 * n, -short, short, 1)]
+    windows = [(first, steps, stride) for _, first, steps, stride in stretches]
+    x = np.full((2 * n, model.dim), model.pullback_init)
+    advance = em_stepper(model)
+    for (rows, first, steps, stride), inc in zip(stretches, gaussian_stream(seeds, windows,
+                                                                         model.modes, dt)):
+        times = np.arange(first, first + steps * stride, stride) * dt
+        advance(model, x[:rows], times, stride * dt, mode_drive(model, eps, inc))
+    return x.reshape(2, n, model.dim)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_PIECE_CASES)), coarse=st.booleans(),
+       short=st.integers(1, 700), burn=st.integers(1, 700), short_by=st.integers(0, 99),
+       n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_piece_cuts_never_change_bytes(name, coarse, short, burn, short_by, n, seed):
+    # however the stretches fall into pieces and check intervals, the samples are
+    # those of stepping each stretch whole: a burn-in of `burn` coarse steps, its
+    # fine length up to m - 1 steps short of a whole number of them, then the joint run
+    model, dts = _PIECE_CASES[name]
+    dt = dts[coarse]
+    m = ldpverify._burn_stride(model, dt)
+    assert (m > 1) == (coarse and name != "hopf-radial")
+    long = short + burn * m - short_by % m
+    seeds = derive_seeds_from(seed, 0, n)
+    eps = model.default_eps
+    x = sample_stationary(model, eps, n, seed=seed, dt=dt,
+                          horizons=[short * dt, long * dt], tol=1e300)
+    assert np.array_equal(x, _two_stretch_rows(model, eps, seeds, short, long, dt)[0]), (m, dt)
 
 
 def test_zero_noise_samples_rest_state(ou):
@@ -214,24 +268,31 @@ def test_negative_horizon_is_a_config_mistake(ou):
 
 
 def test_sampling_reports_divergence(ou):
-    # at dt = 2.5 an EM step maps x to -1.5 x + noise; horizons of 40 and 80
-    # steps are checked only after the last step (j = -1), 79 steps after
-    # the longest horizon's first
+    # at dt = 2.5 an EM step maps x to -1.5 x + noise, and ou takes m = 1.  Horizons
+    # of 40 and 80 steps make a burn-in of 40 steps, checked only at its end, the
+    # join, after its step 39 (t = -102.5), which sees the blow-up
     with pytest.raises(DivergenceError) as exc:
         sample_stationary(ou, 0.1, 4, seed=0, dt=2.5, horizons=[100, 200])
-    assert exc.value.step == 79
-    assert exc.value.time == -2.5
+    assert exc.value.step == 39
+    assert exc.value.time == -102.5
 
 
 def test_sampling_divergence_after_many_check_intervals(ou):
-    # at dt = 2.02 an EM step maps x to -1.02 x + noise; the longest horizon
-    # (3000 steps) is checked after each step j with j % CHECK_EVERY == 0 and
-    # is first seen past the blow-up norm after step -2304, 696 steps in
+    # at dt = 2.02 an EM step maps x to -1.02 x + noise; the 1800-step burn-in is
+    # checked after every CHECK_EVERY of its steps, counted from its start, and is
+    # first seen past the blow-up norm by the third check, after its step 767
     with pytest.raises(DivergenceError) as exc:
         sample_stationary(ou, 0.1, 3, seed=0, dt=2.02,
                           horizons=[1200 * 2.02, 3000 * 2.02])
-    assert exc.value.step == 696
-    assert exc.value.time == -4654.08
+    assert exc.value.step == 3 * CHECK_EVERY - 1 == 767
+    assert exc.value.time == -4510.66
+    # the 10-step burn-in ends below the blow-up norm; the joint run counts its
+    # checks from the join, and its third sees the blow-up
+    with pytest.raises(DivergenceError) as exc:
+        sample_stationary(ou, 0.1, 3, seed=0, dt=2.02,
+                          horizons=[1200 * 2.02, 1210 * 2.02])
+    assert exc.value.step == 10 + 3 * CHECK_EVERY - 1 == 777
+    assert exc.value.time == -874.66
 
 
 @pytest.mark.parametrize("stop", [DivergenceError, KeyboardInterrupt])

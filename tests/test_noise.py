@@ -140,6 +140,26 @@ def test_derive_seed_matches_vector_form():
     assert [int(v) for v in offset] == [derive_seed(5, 100 + j) for j in range(4)]
 
 
+def test_derived_seed_indices_are_integers_on_the_counter():
+    # a float or bool index is refused, not truncated; a range past the 64-bit
+    # counter is refused by name, not left to numpy's overflow
+    for index in (1.5, True):
+        with pytest.raises(InputError, match="stream index must be an integer"):
+            derive_seed(0, index)
+    with pytest.raises(InputError, match="stream count must be an integer"):
+        derive_seeds_from(0, 0, 2.7)
+    with pytest.raises(InputError, match="first stream index must be an integer"):
+        derive_seeds_from(0, 0.0, 2)
+    for first, count in ((2**70, 1), (2**64 - 1, 1), (2**64 - 3, 3)):
+        with pytest.raises(InputError, match="64-bit counter"):
+            derive_seeds_from(0, first, count)
+    with pytest.raises(InputError, match="64-bit counter"):
+        derive_seed(0, 2**70)
+    # the last index on the counter, and numpy integers
+    assert derive_seed(0, 2**64 - 2) == int(derive_seeds_from(0, 2**64 - 3, 2)[1])
+    assert derive_seed(7, np.int64(3)) == derive_seed(7, 3)
+
+
 def test_derived_seeds_are_distinct():
     vec = derive_seeds_from(0, 0, 10_000)
     assert len(np.unique(vec)) == 10_000
