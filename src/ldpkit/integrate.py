@@ -72,9 +72,13 @@ def save_path(path: Path, filename) -> None:
     if path.states.ndim != 2:
         raise InputError(f"only a one-state path can be saved, got states of shape "
                          f"{path.states.shape}")
-    table = np.column_stack([path.grid.times(), path.states])
-    header = "time," + ",".join(f"x{i + 1}" for i in range(path.dim))
-    np.savetxt(filename, table, delimiter=",", fmt="%.17g", header=header, comments="")
+    times = path.grid.times()
+    with open(filename, "w") as fh:
+        fh.write("time," + ",".join(f"x{i + 1}" for i in range(path.dim)) + "\n")
+        for i in range(0, len(times), CHECK_EVERY):  # np.savetxt's rows, a chunk at a time
+            rows = slice(i, i + CHECK_EVERY)
+            np.savetxt(fh, np.column_stack([times[rows], path.states[rows]]), delimiter=",",
+                       fmt="%.17g")
 
 
 def write_json(record: dict, filename) -> None:

@@ -6,9 +6,8 @@ Draws are produced by hashing a 64-bit counter derived from
 mapping the resulting uniform through the inverse normal CDF.  There is
 no generator state: any sub-window of any window regenerates bit-identical
 values, which is what lets the batched sampler draw each seed's realization
-window by window.  A pullback ladder draws one record over its longest
-rung's grid and steps each segment, one rung joining at each cut, on a
-sub-window of it.
+window by window.  A pullback ladder draws each segment's words when the segment
+starts, the words a record over its longest rung's grid would hold.
 
 Step indices are absolute, anchored at t = 0 (index floor is round(t/dt)),
 and may be negative; a zigzag bijection folds them into the counter.

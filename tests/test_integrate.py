@@ -27,8 +27,8 @@ from ldpkit import (
 import ldpkit.ldpverify
 import ldpkit.pullback
 from ldpkit.grids import same_spacing
-from ldpkit.integrate import (BLOWUP_NORM, check_dt, check_eps, check_state, em_advance,
-                              em_stepper, mode_drive)
+from ldpkit.integrate import (BLOWUP_NORM, CHECK_EVERY, check_dt, check_eps, check_state,
+                              em_advance, em_stepper, mode_drive)
 from ldpkit.noise import gaussian_block
 
 
@@ -394,20 +394,23 @@ def test_caller_memory_is_never_scaled(monkeypatch, all_models):
         integrate_skeleton(model, model.pullback_init, g, control=table)
         assert table.tobytes() == keep, model.name
 
-    sampled = []
+    drawn = []
 
-    def recording(grid, modes, seed):
-        rec = sample_noise(grid, modes, seed)
-        sampled.append((rec, rec.increments.tobytes()))
-        return rec
+    def recording(*args):
+        words = gaussian_block(*args)
+        drawn.append((words, words.tobytes()))
+        return words
 
-    monkeypatch.setattr(ldpkit.pullback, "sample_noise", recording)
+    # a ladder draws each segment's words and hands them to em_step_sde as a record
+    monkeypatch.setattr(ldpkit.pullback, "gaussian_block", recording)
     for model in all_models:
         dt = model.default_dt
         pullback_stationary(model, 0.05, 3, TimeGrid(-10 * dt, 0.0, 10),
                             horizons=[100 * dt, 200 * dt, 300 * dt], tol=1.0)
-        rec, keep = sampled.pop()
-        assert rec.increments.tobytes() == keep, model.name
+        assert len(drawn) == 3, model.name  # one draw per segment
+        for words, keep in drawn:
+            assert words.tobytes() == keep, model.name
+        drawn.clear()
 
 
 def test_check_eps_refuses_nan(ou):
@@ -511,6 +514,18 @@ def test_row_block_validation(ou, lin_a2):
     # a block of one one-dimensional row is a block, not one state
     path = integrate_skeleton(ou, np.array([[0.5]]), g)
     assert path.states.shape == (g.steps + 1, 1, 1)
+
+
+def test_save_path_writes_savetxt_bytes(tmp_path, lin_a2):
+    # written a chunk of rows at a time, the file is np.savetxt's of the whole table
+    long = from_dt(-3.0, 0.0, 0.005)
+    assert long.steps + 1 > CHECK_EVERY + 1
+    for g in (long, TimeGrid(0.0, 0.1, 1)):
+        p = em_step_sde(lin_a2, np.array([0.3, -0.2]), g, sample_noise(g, 2, seed=8), 0.1)
+        save_path(p, tmp_path / "chunked.csv")
+        np.savetxt(tmp_path / "whole.csv", np.column_stack([g.times(), p.states]),
+                   delimiter=",", fmt="%.17g", header="time,x1,x2", comments="")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_save_path_refuses_a_row_block(tmp_path, ou):

@@ -24,7 +24,7 @@ from ldpkit import (
     write_json,
 )
 from ldpkit.grids import step_offset
-from ldpkit.pullback import _ladder_grids, _run_ladder, _segments, default_horizons
+from ldpkit.pullback import _em, _ladder_grids, _run_ladder, _segments, default_horizons
 
 
 def test_default_horizons(ou, hopf):
@@ -153,6 +153,17 @@ def test_stationarity_check_small_gap(ou):
     assert zero == pytest.approx(0.0, abs=1e-12)
 
 
+def test_stationarity_check_frozen_values(ou):
+    # both ladders' noise words, the base ladder's taken s/dt steps late, pinned
+    # while each ladder still read one whole-grid record
+    view = from_dt(-1.0, 1.0, 1e-3)
+    assert stationarity_check(ou, 0.1, seed=5, s=0.5, view=view).hex() == "0x1.8382b60000000p-33"
+    small = make_model("burgers1d", {"grid": 19, "K": 8})
+    dt = small.default_dt
+    gap = stationarity_check(small, 0.05, seed=7, s=20 * dt, view=TimeGrid(-40 * dt, 40 * dt, 80))
+    assert gap.hex() == "0x1.2f5c68013e735p-34"
+
+
 def test_stationarity_check_validation(ou):
     view = from_dt(-1.0, 1.0, 1e-3)
     with pytest.raises(InputError):
@@ -206,6 +217,10 @@ def _check_ladder_against_rungs(model, eps, seed, view, grids):
     assert path.grid == view and np.array_equal(path.states, rows[:, -1])
     assert diag.gaps == [float(np.max(h_norm(model, rows[:, i] - rows[:, i - 1])))
                          for i in range(1, len(grids))]
+    # drawing each segment's words when it starts steps the same ladder bit for bit
+    drawn, drawn_diag = _run_ladder(model, view, grids, _em(model, eps, seed, grids[-1]),
+                                    tol=10.0)
+    assert np.array_equal(drawn.states, path.states) and drawn_diag == diag
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -259,12 +274,14 @@ def test_ladder_divergence_names_the_rung(ou):
 def test_ladder_memory_follows_the_view():
     # segments record only their last step and the view: quadrupling the horizons
     # grows the traced peak by little more than the noise record's own growth,
-    # where recording every state would grow it by the states of the longer rungs
+    # where recording every state would grow it by the states of the longer rungs.
+    # Each segment draws only its own words, so from x4 to x16 the peak grows by
+    # one segment's words, well below what a whole-grid record would add.
     model = make_model("burgers1d", {"grid": 19, "K": 8})
     dt = model.default_dt
     view = TimeGrid(-40 * dt, 0.0, 40)
     peaks, records = [], []
-    for factor in (1, 4):
+    for factor in (1, 4, 16):
         horizons = [factor * n for n in default_horizons(model, view)]
         records.append(_ladder_grids(view, horizons)[-1].steps * model.modes * 8)
         tracemalloc.start()
@@ -274,3 +291,4 @@ def test_ladder_memory_follows_the_view():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2 * (records[1] - records[0]), (peaks, records)
+    assert peaks[2] - peaks[1] <= 0.75 * (records[2] - records[1]), (peaks, records)
