@@ -12,7 +12,6 @@ from .action import (
     Control,
     action,
     action_gradient,
-    control_from_path,
     load_control,
     save_control,
     value_and_gradient,
@@ -58,10 +57,7 @@ from .noise import (
     NoisePath,
     derive_seed,
     gaussian_block,
-    load_noise,
     sample_noise,
-    save_noise,
-    shift_noise,
 )
 from .pullback import (
     PullbackDiag,
@@ -98,7 +94,6 @@ __all__ = [
     "action",
     "action_gradient",
     "check_hypothesis",
-    "control_from_path",
     "default_horizons",
     "derive_seed",
     "drift",
@@ -112,7 +107,6 @@ __all__ = [
     "integrate_skeleton",
     "ldp_slope",
     "load_control",
-    "load_noise",
     "load_path",
     "make_estimate",
     "make_model",
@@ -125,9 +119,7 @@ __all__ = [
     "sample_stationary",
     "save_control",
     "save_estimates",
-    "save_noise",
     "save_path",
-    "shift_noise",
     "stationarity_check",
     "value_and_gradient",
     "wilson_interval",

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonInvertibleDiffusionError
-from .grids import TimeGrid, uniform_spacing
-from .integrate import Path
+from .grids import TimeGrid
+from .integrate import Path, _load_table, _save_table
 from .models import ModelSpec, drift, h_norm_sq
 
 # diffusion factors smaller than this cannot be divided out
@@ -111,12 +111,6 @@ def _invert(model: ModelSpec, path: Path):
     return coeffs, defects, mids, tmid, b
 
 
-def control_from_path(model: ModelSpec, path: Path) -> Control:
-    """The control whose skeleton trajectory is `path` (midpoint inversion)."""
-    coeffs, _, _, _, _ = _invert(model, path)
-    return Control(path.grid, coeffs)
-
-
 def action(model: ModelSpec, path: Path) -> ActionReport:
     """Half the squared control norm of `path`, with per-step terms.
 
@@ -199,19 +193,10 @@ def control_jacobian(model: ModelSpec, path: Path):
 
 def save_control(control: Control, filename) -> None:
     """CSV with one row per step: the step's start time, then the K coefficients."""
-    grid = control.grid
-    times = grid.times()[:-1]
-    table = np.column_stack([times, control.coeffs])
-    header = "time," + ",".join(f"v{k + 1}" for k in range(control.modes))
-    np.savetxt(filename, table, delimiter=",", header=header, comments="", fmt="%.17g")
+    _save_table(filename, control.grid.times()[:-1], control.coeffs, "v")
 
 
 def load_control(filename) -> Control:
-    table = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
-    if table.shape[1] < 2:
-        raise InputError(f"control file {filename} has no coefficient columns")
-    times = table[:, 0]
-    steps = len(times)
-    dt = uniform_spacing(times, f"control file {filename}")
-    grid = TimeGrid(float(times[0]), float(times[0]) + steps * dt, steps)
-    return Control(grid, table[:, 1:])
+    times, coeffs, dt = _load_table(filename, f"control file {filename}")
+    return Control(TimeGrid(float(times[0]), float(times[0]) + len(times) * dt, len(times)),
+                   coeffs)

@@ -322,10 +322,15 @@ def main(argv=None) -> int:
             config["seed"] = args.seed  # lands in the echo
         parsed = _parse_block(_COMMANDS[args.command].keys, config, args.command)
         files = {key: os.path.join(args.out, name) for key, name in parsed["outputs"].items()}
+        echo = os.path.join(args.out, f"{args.command.replace('-', '_')}_config.yaml")
+        targets = {os.path.normpath(f) for f in [*files.values(), echo]}
+        if len(targets) <= len(files):  # one file would overwrite another
+            raise InputError(f"{args.command}.outputs: each artifact and the config echo "
+                             f"{os.path.basename(echo)} need their own file, got "
+                             f"{parsed['outputs']}")
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command].run(SimpleNamespace(given=set(config), **parsed), files)
-        with open(os.path.join(args.out, f"{args.command.replace('-', '_')}_config.yaml"),
-                  "w") as fh:
+        with open(echo, "w") as fh:
             yaml.safe_dump(config, fh, sort_keys=False)
         return 0
     except (ToolkitError, yaml.YAMLError, OSError) as err:

@@ -21,6 +21,13 @@ from .errors import InputError
 _ALIGN_RTOL = 1e-9
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; InputError unless it is a Python or numpy integer (bool is not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [t_start, t_end] with `steps` equal increments."""
@@ -36,8 +43,10 @@ class TimeGrid:
             raise InputError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
-        if not (float(self.steps).is_integer() and self.steps >= 1):  # NaN, inf fail too
-            raise InputError(f"grid needs a positive integer step count, got {self.steps}")
+        steps = _as_int("grid step count", self.steps)
+        if steps < 1:
+            raise InputError(f"grid needs a positive integer step count, got {steps}")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def dt(self) -> float:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grids import (_ALIGN_RTOL, TimeGrid, check_positive, same_spacing, step_offset,
-                    uniform_spacing, whole_steps)
+from .grids import (_ALIGN_RTOL, TimeGrid, _as_int, check_positive, same_spacing,
+                    step_offset, uniform_spacing, whole_steps)
 from .models import ModelSpec, drift, h_norm_sq
-from .noise import NoisePath, _as_int
+from .noise import NoisePath
 
 # Trajectories whose H-norm passes this are declared divergent.  Every
 # stepping loop draws its drive, steps and tests for it per CHECK_EVERY steps.
@@ -67,18 +67,37 @@ class Path:
         return Path(grid, self.states[off : off + grid.steps + 1])
 
 
+def _save_table(filename, times: np.ndarray, values: np.ndarray, column: str) -> None:
+    """CSV of a time column then columns column1, column2, ...: one header line, then
+    np.savetxt's rows, a CHECK_EVERY chunk at a time."""
+    with open(filename, "w") as fh:
+        fh.write("time," + ",".join(f"{column}{i + 1}" for i in range(values.shape[1])) + "\n")
+        for i in range(0, len(times), CHECK_EVERY):
+            rows = slice(i, i + CHECK_EVERY)
+            np.savetxt(fh, np.column_stack([times[rows], values[rows]]), delimiter=",",
+                       fmt="%.17g")
+
+
+def _load_table(filename, source: str):
+    """(times, values, dt) of a _save_table CSV; InputError, naming `source`, unless it
+    has a value column and a uniform time column of spacing dt."""
+    table = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
+    if table.shape[1] < 2:
+        raise InputError(f"{source}: need a time column plus value columns")
+    return table[:, 0], table[:, 1:], uniform_spacing(table[:, 0], source)
+
+
 def save_path(path: Path, filename) -> None:
     """CSV with a time column and one column per state dimension (one row per state)."""
     if path.states.ndim != 2:
         raise InputError(f"only a one-state path can be saved, got states of shape "
                          f"{path.states.shape}")
-    times = path.grid.times()
-    with open(filename, "w") as fh:
-        fh.write("time," + ",".join(f"x{i + 1}" for i in range(path.dim)) + "\n")
-        for i in range(0, len(times), CHECK_EVERY):  # np.savetxt's rows, a chunk at a time
-            rows = slice(i, i + CHECK_EVERY)
-            np.savetxt(fh, np.column_stack([times[rows], path.states[rows]]), delimiter=",",
-                       fmt="%.17g")
+    _save_table(filename, path.grid.times(), path.states, "x")
+
+
+def load_path(filename) -> Path:
+    times, states, _ = _load_table(filename, filename)
+    return Path(TimeGrid(float(times[0]), float(times[-1]), len(times) - 1), states)
 
 
 def write_json(record: dict, filename) -> None:
@@ -86,16 +105,6 @@ def write_json(record: dict, filename) -> None:
     with open(filename, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-
-
-def load_path(filename) -> Path:
-    table = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
-    if table.shape[1] < 2:
-        raise InputError(f"{filename}: need a time column plus state columns")
-    times = table[:, 0]
-    uniform_spacing(times, filename)
-    grid = TimeGrid(float(times[0]), float(times[-1]), len(times) - 1)
-    return Path(grid, table[:, 1:])
 
 
 def check_state(model: ModelSpec, x, what: str = "initial state") -> np.ndarray:

@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .grids import check_positive, ladder_steps
+from .grids import _as_int, check_positive, ladder_steps
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_stepper, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
-from .noise import _as_int, derive_seed, derive_seeds_from, gaussian_stream
+from .noise import derive_seed, derive_seeds_from, gaussian_stream
 
 _Z95 = 1.959963984540054
 _DRIVE_WORDS = 4_000_000  # drive words of one check interval, summed over a seed chunk

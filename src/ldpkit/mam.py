@@ -27,10 +27,9 @@ from scipy.linalg import solveh_banded
 
 from .action import action, control_jacobian, value_and_gradient
 from .errors import ConfigurationError, InputError, OptimizationStalledError
-from .grids import TimeGrid, check_horizons, check_positive
+from .grids import TimeGrid, _as_int, check_horizons, check_positive
 from .integrate import Path, check_state, integrate_skeleton
 from .models import ModelSpec
-from .noise import _as_int
 
 # a horizon is solved once every interior gradient entry is this small
 _GTOL = 1e-6

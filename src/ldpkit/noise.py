@@ -5,9 +5,11 @@ Draws are produced by hashing a 64-bit counter derived from
 (seed, absolute step index, mode) through a splitmix-style finalizer and
 mapping the resulting uniform through the inverse normal CDF.  There is
 no generator state: any sub-window of any window regenerates bit-identical
-values, which is what lets the batched sampler draw each seed's realization
-window by window.  A pullback ladder draws each segment's words when the segment
-starts, the words a record over its longest rung's grid would hold.
+values, so a realization is never stored, only redrawn.  The batched sampler
+draws each seed's realization window by window, a pullback ladder draws each
+segment's words when the segment starts (the words a record over its longest
+rung's grid would hold), and the shifted realization theta_s w is the same
+seed's words s/dt steps later.
 
 Step indices are absolute, anchored at t = 0 (index floor is round(t/dt)),
 and may be negative; a zigzag bijection folds them into the counter.
@@ -41,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InputError
-from .grids import TimeGrid, check_positive, step_offset, whole_steps
+from .grids import TimeGrid, _as_int, check_positive, step_offset, whole_steps
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -57,12 +59,6 @@ _TILE_WORDS = 1 << 15
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = (None, None)  # (pid, ThreadPoolExecutor), made on first use
 _pool_lock = threading.Lock()
-
-
-def _as_int(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_u64(seed: int) -> np.uint64:
@@ -294,14 +290,11 @@ class NoisePath:
     """Increment record of one noise realization on a grid.
 
     increments[i, k] is the mode-k Gaussian increment over
-    [t_i, t_i + dt); shape (grid.steps, modes).  seed is kept for
-    provenance and is None for records not produced by sample_noise
-    (loaded or shifted ones keep the originating seed when known).
+    [t_i, t_i + dt); shape (grid.steps, modes).
     """
 
     grid: TimeGrid
     increments: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=np.float64)
@@ -321,7 +314,7 @@ class NoisePath:
     def restrict(self, grid: TimeGrid) -> "NoisePath":
         """The record over a sub-window with the same spacing."""
         off = step_offset(self.grid, grid)
-        return NoisePath(grid, self.increments[off : off + grid.steps], self.seed)
+        return NoisePath(grid, self.increments[off : off + grid.steps])
 
     def cumulative(self) -> np.ndarray:
         """Brownian path W(t_i) - W(t_start) at all grid points, shape (steps+1, modes)."""
@@ -341,69 +334,4 @@ def sample_noise(grid: TimeGrid, modes: int, seed: int) -> NoisePath:
     base = whole_steps(grid.t_start / dt, f"window start {grid.t_start} is not on the "
                        f"dt = {dt} step lattice anchored at t = 0")
     block = gaussian_block([seed], base, grid.steps, modes, dt)
-    return NoisePath(grid, block[0], seed)
-
-
-def shift_noise(noise: NoisePath, s: float) -> NoisePath:
-    """Increment record of the time-shifted realization.
-
-    Step i of the result equals step i + s/dt of the input, i.e. the
-    result drives a system that experiences the original noise s time
-    units early.  s must be a non-negative multiple of dt small enough
-    that the shifted window stays inside the sampled one.
-    """
-    dt = noise.grid.dt
-    m = whole_steps(s / dt, f"shift {s} is not a multiple of dt={dt}")
-    if m == 0:
-        return NoisePath(noise.grid, noise.increments, noise.seed)
-    if m < 0:
-        raise InputError("backward shift leaves the sampled window")
-    if m >= noise.grid.steps:
-        raise InputError(
-            f"shift {s} swallows the whole window [{noise.grid.t_start}, {noise.grid.t_end}]"
-        )
-    grid = TimeGrid(noise.grid.t_start, noise.grid.t_end - m * dt, noise.grid.steps - m)
-    return NoisePath(grid, noise.increments[m:], noise.seed)
-
-
-_HEADER_DTYPE = np.dtype(
-    [
-        ("seed", "<u8"),
-        ("t_start", "<f8"),
-        ("t_end", "<f8"),
-        ("steps", "<u8"),
-        ("modes", "<u8"),
-    ]
-)
-_SEED_NONE = np.uint64(_U64_MAX)
-
-
-def save_noise(noise: NoisePath, path) -> None:
-    """Little-endian binary dump: header then row-major float64 increments."""
-    header = np.zeros(1, dtype=_HEADER_DTYPE)
-    header["seed"] = _SEED_NONE if noise.seed is None else np.uint64(noise.seed)
-    header["t_start"] = noise.grid.t_start
-    header["t_end"] = noise.grid.t_end
-    header["steps"] = noise.grid.steps
-    header["modes"] = noise.modes
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(noise.increments, dtype="<f8").tobytes())
-
-
-def load_noise(path) -> NoisePath:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER_DTYPE.itemsize:
-        raise InputError(f"{path}: truncated noise dump")
-    header = np.frombuffer(raw[: _HEADER_DTYPE.itemsize], dtype=_HEADER_DTYPE)[0]
-    steps = int(header["steps"])
-    modes = int(header["modes"])
-    body = np.frombuffer(raw[_HEADER_DTYPE.itemsize :], dtype="<f8")
-    if body.size != steps * modes:
-        raise InputError(
-            f"{path}: expected {steps * modes} increments, found {body.size}"
-        )
-    grid = TimeGrid(float(header["t_start"]), float(header["t_end"]), steps)
-    seed = None if header["seed"] == _SEED_NONE else int(header["seed"])
-    return NoisePath(grid, body.reshape(steps, modes).copy(), seed)
+    return NoisePath(grid, block[0])

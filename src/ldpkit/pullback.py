@@ -161,7 +161,7 @@ def _em(model: ModelSpec, eps: float, seed: int, longest: TimeGrid, shift: int =
     def integrate(x0, grid, record):
         words = gaussian_block([seed], first + step_offset(longest, grid), grid.steps,
                                model.modes, dt)
-        return em_step_sde(model, x0, grid, NoisePath(grid, words[0], seed), eps, record)
+        return em_step_sde(model, x0, grid, NoisePath(grid, words[0]), eps, record)
 
     return integrate
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from ldpkit import (
     InputError,
     NonInvertibleDiffusionError,
     Path,
+    TimeGrid,
     action,
     action_gradient,
-    control_from_path,
     from_dt,
     integrate_skeleton,
     load_control,
@@ -68,7 +70,7 @@ def test_exact_control_recovery_on_linear_model(ou):
     dt = 1e-3
     g = from_dt(0.0, 1.0, dt)
     u = np.exp(g.times())[:, None]
-    ctrl = control_from_path(ou, Path(g, u))
+    ctrl = action(ou, Path(g, u)).control
     # discrete residual of the exponential: (e^dt - 1)/dt + cosh-average
     t_mid = g.midpoints()
     expected = np.exp(t_mid) * (
@@ -124,7 +126,7 @@ def test_control_jacobian_reproduces_the_gradient(name, params):
     for seed in (12, 13, 14):
         path = smooth_path(g, model.dim, seed=seed, scale=0.5)
         coeffs, d_left, d_right = control_jacobian(model, path)
-        assert np.array_equal(coeffs, control_from_path(model, path).coeffs)
+        assert np.array_equal(coeffs, action(model, path).control.coeffs)
         grad = np.zeros_like(path.states)
         grad[:-1] += dt * np.einsum("ika,ik->ia", d_left, coeffs)
         grad[1:] += dt * np.einsum("ika,ik->ia", d_right, coeffs)
@@ -224,16 +226,26 @@ def test_control_save_load_roundtrip(tmp_path):
     assert back.grid.t_start == pytest.approx(-0.5)
     assert back.grid.dt == pytest.approx(0.05)
     assert np.allclose(back.coeffs, coeffs, rtol=0, atol=0)
+    # the exact bytes: a header line, then rows at %.17g, past a CHECK_EVERY chunk too
+    long = from_dt(-1.5, 0.0, 0.005)
+    assert long.steps > 256
+    save_control(Control(long, np.random.default_rng(21).standard_normal((300, 3))), f)
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == (
+        "047a8525b964b50e717111c88159d591f3d9f8548247fc1392427e7f9dc0aa03")
+    assert np.array_equal(load_control(f).coeffs,
+                          np.random.default_rng(21).standard_normal((300, 3)))
+    save_control(Control(TimeGrid(0.0, 0.1, 1), np.array([[0.25, -1.5]])), f)
+    assert f.read_bytes() == b"time,v1,v2\n0,0.25,-1.5\n"
 
 
 def test_load_control_rejects_bad_files(tmp_path):
     single = tmp_path / "one.csv"
     single.write_text("time,v1\n0.0,1.0\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="control file"):
         load_control(single)
     jitter = tmp_path / "jitter.csv"
     jitter.write_text("time,v1\n0.0,1.0\n0.1,1.0\n0.25,1.0\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="control file"):
         load_control(jitter)
 
 

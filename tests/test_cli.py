@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -253,7 +254,10 @@ def test_action_command_roundtrip(tmp_path, capsys):
     assert code == 0, err
     report = json.loads((out_dir / "action_report.json").read_text())
     assert report["value"] > 0
-    assert (out_dir / "action_control.csv").exists()
+    control = (out_dir / "action_control.csv").read_bytes()
+    assert control.startswith(b"time,v1\n0,") and control.count(b"\n") == 51
+    assert hashlib.sha256(control).hexdigest() == (
+        "080ec437f8bac61ac909b993dc5dc368aef5378dccec61fdc51ee68774594185")
 
 
 def test_mam_and_qpot_commands(tmp_path, capsys):
@@ -385,6 +389,16 @@ CONFIG_MISTAKES = [
     pytest.param("simulate", dict(SIM, model={"name": "ou", "params": []}), [], 2,
                  "InputError", id="params-list"),
     pytest.param("simulate", dict(SIM, outputs=0), [], 2, "InputError", id="outputs-zero"),
+    # outputs where one file would overwrite another, refused before the run
+    pytest.param("pullback", dict(ECHO_CASES["pullback"],
+                                  outputs={"path": "same.csv", "diagnostics": "same.csv"}),
+                 [], 2, "InputError", id="outputs-one-file"),
+    pytest.param("pullback", dict(ECHO_CASES["pullback"],
+                                  outputs={"path": "same.csv", "diagnostics": "./same.csv"}),
+                 [], 2, "InputError", id="outputs-one-file-spelled-twice"),
+    pytest.param("pullback", dict(ECHO_CASES["pullback"],
+                                  outputs={"path": "pullback_config.yaml"}),
+                 [], 2, "InputError", id="outputs-on-config-echo"),
     # two horizons that snap outward onto one grid are refused, not scored gap 0
     pytest.param("pullback", dict(ECHO_CASES["pullback"], horizons=[5.001, 5.002]), [], 2,
                  "InputError", id="pullback-collapsing-ladder"),

@@ -25,9 +25,10 @@ def test_invalid_windows_rejected():
         TimeGrid(1.0, 0.0, 10)
     with pytest.raises(InputError):
         TimeGrid(0.0, 1.0, 0)
-    for steps in (2.5, float("nan"), float("inf")):
+    for steps in (2.5, float("nan"), float("inf"), 2.0, True, np.float64(3.0)):
         with pytest.raises(InputError):
             TimeGrid(0.0, 1.0, steps)
+    assert type(TimeGrid(0.0, 1.0, np.int64(4)).steps) is int  # numpy integers still pass
 
 
 def test_from_dt_exact():

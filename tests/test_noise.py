@@ -15,10 +15,7 @@ from ldpkit import (
     TimeGrid,
     derive_seed,
     from_dt,
-    load_noise,
     sample_noise,
-    save_noise,
-    shift_noise,
 )
 from ldpkit import noise
 from ldpkit.noise import derive_seeds_from, gaussian_block
@@ -47,7 +44,6 @@ def test_restrict_is_a_slice():
     sub = full.restrict(from_dt(-1.0, 0.5, dt))
     assert sub.grid.steps == 75
     assert np.array_equal(sub.increments, full.increments[50:125])
-    assert sub.seed == 5
     with pytest.raises(InputError):
         full.restrict(from_dt(-3.0, 0.0, dt))  # sticks out of the record
     with pytest.raises(InputError):
@@ -63,61 +59,12 @@ def test_restrict_matches_fresh_sampling():
     )
 
 
-def test_shift_semantics():
-    dt = 0.1
-    full = sample_noise(from_dt(0.0, 2.0, dt), 2, seed=3)
-    shifted = shift_noise(full, 0.5)
-    assert shifted.grid.t_start == 0.0
-    assert shifted.grid.t_end == pytest.approx(1.5)
-    assert np.array_equal(shifted.increments, full.increments[5:])
-    same = shift_noise(full, 0.0)
-    assert np.array_equal(same.increments, full.increments)
-
-
-def test_shift_rejects_bad_offsets():
-    full = sample_noise(from_dt(0.0, 1.0, 0.1), 1, seed=0)
-    with pytest.raises(InputError):
-        shift_noise(full, -0.1)
-    with pytest.raises(InputError):
-        shift_noise(full, 0.05)
-    with pytest.raises(InputError):
-        shift_noise(full, 1.0)  # nothing left
-
-
 def test_cumulative_starts_at_zero():
     full = sample_noise(from_dt(0.0, 1.0, 0.01), 3, seed=9)
     w = full.cumulative()
     assert w.shape == (101, 3)
     assert np.all(w[0] == 0.0)
     assert np.allclose(w[-1], full.increments.sum(axis=0))
-
-
-def test_save_load_roundtrip(tmp_path):
-    full = sample_noise(from_dt(-1.5, 0.5, 0.01), 2, seed=123)
-    f = tmp_path / "noise.bin"
-    save_noise(full, f)
-    back = load_noise(f)
-    assert back.seed == 123
-    assert back.grid == full.grid
-    assert np.array_equal(back.increments, full.increments)
-
-
-def test_save_load_keeps_seed_none(tmp_path):
-    g = from_dt(0.0, 0.3, 0.1)
-    anon = NoisePath(g, np.zeros((3, 1)))
-    f = tmp_path / "anon.bin"
-    save_noise(anon, f)
-    assert load_noise(f).seed is None
-
-
-def test_load_rejects_truncation(tmp_path):
-    full = sample_noise(from_dt(0.0, 1.0, 0.1), 2, seed=1)
-    f = tmp_path / "cut.bin"
-    save_noise(full, f)
-    data = f.read_bytes()
-    f.write_bytes(data[:-8])
-    with pytest.raises(InputError):
-        load_noise(f)
 
 
 def test_record_validation():
