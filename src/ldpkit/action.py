@@ -12,9 +12,10 @@ empty feasible set is infinite: residual components outside the mode
 span cannot be produced by any control and are reported as a defect
 rather than silently dropped.
 
-action_gradient differentiates this discrete functional exactly (the
-midpoint states enter both the residual and the diffusion factor), and
-control_jacobian gives the per-step blocks of its Gauss-Newton matrix.
+The derivative of the recovered controls is written once, a vector-Jacobian
+product through the midpoint residual and the diffusion factor: weighted by
+dt v_i it is the exact action gradient, and on the K mode-basis rows it gives
+control_jacobian's per-step blocks of the Gauss-Newton matrix.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class ActionReport:
 
 
 def _check_path(model: ModelSpec, path: Path) -> None:
-    if path.dim != model.dim:
-        raise InputError(
-            f"path dimension {path.dim} does not match model '{model.name}' ({model.dim})"
-        )
+    # a row-block path (steps+1, rows, dim) is refused too: rows would mix with modes
+    if path.states.ndim != 2 or path.dim != model.dim:
+        raise InputError(f"the action of model '{model.name}' takes one path of shape "
+                         f"(steps+1, {model.dim}), got states of shape {path.states.shape}")
 
 
 def _invert(model: ModelSpec, path: Path):
@@ -127,29 +128,24 @@ def action(model: ModelSpec, path: Path) -> ActionReport:
                         control=Control(path.grid, coeffs))
 
 
-def _assemble_gradient(model: ModelSpec, path: Path, coeffs, mids, tmid, b,
-                       fixed_endpoints) -> np.ndarray:
-    dt = path.grid.dt
-    # dS through the residual: a_i = dt * mass/b_i * sum_k (h_ik/c_k) e_k
-    avec = (dt * model.mass / b)[:, None] * (
-        (coeffs / model.mode_weights) @ model.mode_matrix.T
-    )
-    jta = model.drift_jacT(mids, tmid, avec)
-    # dS through the diffusion factor: q_i = dt |h_i|^2 / b_i
-    q = dt * np.sum(coeffs**2, axis=1) / b
-    qgb = q[:, None] * model.grad_diffusion_factor(mids)
-    core = -0.5 * (jta + qgb)
-    steps = path.grid.steps
-    grad = np.zeros_like(path.states)
-    grad[0] = -avec[0] / dt + core[0]
-    grad[steps] = avec[-1] / dt + core[-1]
-    if steps > 1:
-        grad[1:steps] = (avec[:-1] - avec[1:]) / dt + core[:-1] + core[1:]
-    if fixed_endpoints[0]:
-        grad[0] = 0.0
-    if fixed_endpoints[1]:
-        grad[steps] = 0.0
-    return grad
+def _control_vjp(model: ModelSpec, dt: float, inverted, y):
+    """y_i^T dv_i/du_i and y_i^T dv_i/du_{i+1} for per-step weights y on the K controls.
+
+    y has shape (steps, ..., K), or (1, ..., K) for weights every step shares; both
+    results have shape (steps, ..., dim).  The rows sum_k y_ik e_k / c_k meet drift_jacT
+    once, unbroadcast over steps, and are scaled by mass/b_i afterwards.
+    """
+    coeffs, _, mids, tmid, b = inverted
+    lead = (-1,) + (1,) * (y.ndim - 2)
+    rows = (y / model.mode_weights) @ model.mode_matrix.T
+    scale = (model.mass / b).reshape(lead + (1,))
+    jump = scale * rows / dt
+    # the midpoint enters the residual and the factor b_i = b(m_i), half from each end
+    jt = model.drift_jacT(mids.reshape(lead + (model.dim,)), tmid.reshape(lead), rows)
+    yv = np.sum(y * coeffs.reshape(lead + (model.modes,)), axis=-1)[..., None]
+    gb = (model.grad_diffusion_factor(mids) / b[:, None]).reshape(lead + (model.dim,))
+    common = -0.5 * (scale * jt + yv * gb)
+    return common - jump, common + jump
 
 
 def action_gradient(model: ModelSpec, path: Path,
@@ -165,9 +161,18 @@ def action_gradient(model: ModelSpec, path: Path,
 def value_and_gradient(model: ModelSpec, path: Path,
                        fixed_endpoints: tuple[bool, bool] = (True, True)):
     """Action value and exact gradient from a single inversion pass."""
-    coeffs, _, mids, tmid, b = _invert(model, path)
-    value = float(0.5 * path.grid.dt * np.sum(coeffs**2))
-    grad = _assemble_gradient(model, path, coeffs, mids, tmid, b, fixed_endpoints)
+    inverted = _invert(model, path)
+    coeffs, dt = inverted[0], path.grid.dt
+    value = float(0.5 * dt * np.sum(coeffs**2))
+    # dS = dt sum_i v_i^T dv_i, and v_i depends on u_i and u_{i+1} only
+    left, right = _control_vjp(model, dt, inverted, dt * coeffs)
+    grad = np.zeros_like(path.states)
+    grad[:-1] = left
+    grad[1:] += right
+    if fixed_endpoints[0]:
+        grad[0] = 0.0
+    if fixed_endpoints[1]:
+        grad[-1] = 0.0
     return value, grad
 
 
@@ -179,16 +184,9 @@ def control_jacobian(model: ModelSpec, path: Path):
     dt * sum_i J_i^T v_i is the action gradient and dt * sum_i J_i^T J_i
     its block-tridiagonal Gauss-Newton matrix.
     """
-    coeffs, _, mids, tmid, b = _invert(model, path)
-    scale = (model.mass / b)[:, None, None] / model.mode_weights[:, None]
-    # rows e_k^T Df(m_i) from one batched transposed-Jacobian call
-    dfe = np.broadcast_to(
-        model.drift_jacT(mids[:, None, :], tmid[:, None, None], model.mode_matrix.T),
-        scale.shape[:2] + (model.dim,))
-    gb = model.grad_diffusion_factor(mids) / b[:, None]
-    common = -0.5 * (scale * dfe + coeffs[:, :, None] * gb[:, None, :])
-    jump = scale * model.mode_matrix.T / path.grid.dt
-    return coeffs, common - jump, common + jump
+    inverted = _invert(model, path)
+    d_left, d_right = _control_vjp(model, path.grid.dt, inverted, np.eye(model.modes)[None])
+    return inverted[0], d_left, d_right
 
 
 def save_control(control: Control, filename) -> None:

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
+from .grids import _as_int
 
 
 @dataclass(frozen=True)
@@ -458,9 +459,12 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 # registry
 
 def _number(value) -> float:
-    """value as a float; a boolean (YAML true/false) is refused, not read as 1/0."""
+    """value as a float; only a Python or numpy int or float: a boolean (YAML true/false)
+    is not read as 1/0, nor a string such as "1.5" as a number."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"expected a number, got the boolean {value!r}")
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
     return float(value)
 
 
@@ -480,6 +484,13 @@ def _whole(value) -> int:
     return int(x)
 
 
+def _text(value) -> str:
+    """A string parameter; 5 is refused, not read as "5"."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
+    return value
+
+
 # name -> (factory, config-facing parameter names -> (factory kwarg, conversion))
 _REGISTRY = {
     "ou": (_make_ou, {"a": ("a", _real)}),
@@ -491,7 +502,7 @@ _REGISTRY = {
     "burgers1d": (
         _make_burgers1d,
         {"grid": ("n", _whole), "K": ("kmax", _whole), "d0": ("d0", _real),
-         "diffusion": ("diffusion", str)},
+         "diffusion": ("diffusion", _text)},
     ),
 }
 
@@ -553,6 +564,7 @@ def check_hypothesis(model: ModelSpec, n_samples: int = 200, seed: int = 0,
     tol is a violation.  The zero-equilibrium inequality is only
     meaningful for models whose rest state is 0 and is skipped otherwise.
     """
+    n_samples = _as_int("n_samples", n_samples)
     if n_samples < 1:
         raise InputError("n_samples must be positive")
     rng = np.random.default_rng(seed)

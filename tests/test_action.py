@@ -107,12 +107,24 @@ def test_dimension_mismatch(lin_a2):
         action(lin_a2, Path(g, np.zeros((11, 1))))
 
 
+def test_row_block_paths_are_refused(lin_a2):
+    # states (steps+1, rows, dim) would mix rows with modes in the inversion
+    from ldpkit.action import control_jacobian
+
+    block = Path(from_dt(0.0, 0.1, 0.01), np.ones((11, 2, 2)))
+    for entry in (action, value_and_gradient, control_jacobian):
+        with pytest.raises(InputError, match="one path of shape"):
+            entry(lin_a2, block)
+
+
 @pytest.mark.parametrize("name,params", [
     ("ou", {}),
     ("linear2d-a1", {}),
     ("linear2d-a2", {}),
     ("burgers1d", {}),
     ("burgers1d", {"diffusion": "additive"}),
+    ("periodic1d", {}),
+    ("hopf-radial", {}),
 ])
 def test_control_jacobian_reproduces_the_gradient(name, params):
     # dt * sum_i J_i^T v_i over the per-step blocks is the action gradient
@@ -123,8 +135,10 @@ def test_control_jacobian_reproduces_the_gradient(name, params):
     # the minimum-action step sizes; the action has no stability ceiling
     dt = 0.01
     g = from_dt(0.0, 0.2, dt)
+    # around the centre of the state box, where hopf-radial's factor b(r) = r is nonzero
+    offset = np.mean(model.state_box)
     for seed in (12, 13, 14):
-        path = smooth_path(g, model.dim, seed=seed, scale=0.5)
+        path = smooth_path(g, model.dim, seed=seed, scale=0.5, offset=offset)
         coeffs, d_left, d_right = control_jacobian(model, path)
         assert np.array_equal(coeffs, action(model, path).control.coeffs)
         grad = np.zeros_like(path.states)
@@ -132,6 +146,45 @@ def test_control_jacobian_reproduces_the_gradient(name, params):
         grad[1:] += dt * np.einsum("ika,ik->ia", d_right, coeffs)
         exact = action_gradient(model, path, fixed_endpoints=(False, False))
         assert np.max(np.abs(grad - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("name,params,offset", [
+    ("ou", {}, 0.0),
+    ("periodic1d", {}, 0.0),
+    ("linear2d-a1", {}, 0.0),
+    ("linear2d-a2", {}, 0.0),
+    ("hopf-radial", {}, 1.5),
+    ("burgers1d", {"grid": 19, "K": 8}, 0.0),
+    ("burgers1d", {"grid": 19, "K": 8, "diffusion": "additive"}, 0.0),
+    ("gradient-flow", None, 0.0),
+    ("gradient-flow", [1.0, 2.0], 0.2),
+])
+def test_control_jacobian_matches_finite_differences(gradient_flow, name, params, offset):
+    # every entry of the per-step blocks against central differences of the recovered
+    # controls: a perturbed state u_i moves v_{i-1} through dv/du_{i+1} and v_i through dv/du_i
+    from ldpkit import make_model
+    from ldpkit.action import control_jacobian
+
+    model = (gradient_flow(params, 1.0, 1.0) if name == "gradient-flow"
+             else make_model(name, params))
+    g = from_dt(0.0, 0.1, 0.01)
+    path = smooth_path(g, model.dim, seed=4, scale=0.5, offset=offset)
+    coeffs, d_left, d_right = control_jacobian(model, path)
+    exact = np.zeros((g.steps, model.modes, g.steps + 1, model.dim))
+    for i in range(g.steps):
+        exact[i, :, i] = d_left[i]
+        exact[i, :, i + 1] = d_right[i]
+    fd = np.empty_like(exact)
+    for i in range(g.steps + 1):
+        for j in range(model.dim):
+            h = 1e-6 * (1.0 + abs(path.states[i, j]))
+            up = path.states.copy()
+            up[i, j] += h
+            dn = path.states.copy()
+            dn[i, j] -= h
+            fd[:, :, i, j] = (action(model, Path(g, up)).control.coeffs
+                              - action(model, Path(g, dn)).control.coeffs) / (2 * h)
+    assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact)), name
 
 
 @pytest.mark.parametrize("name,offset", [

@@ -411,6 +411,13 @@ CONFIG_MISTAKES = [
                  id="model-name-list"),
     pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": "x"}}), [], 2,
                  "InputError", id="model-param-string"),
+    # a quoted number is a string, and a number is no diffusion name
+    pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": "1.5"}}), [], 2,
+                 "InputError", id="model-param-numeric-string"),
+    pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
+                                              "params": {"grid": 20, "K": 4, "diffusion": 5}},
+                                  grid=SMALL_BURGERS), [], 2, "InputError",
+                 id="burgers-diffusion-number"),
     pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
                                               "params": {"grid": 20.9, "K": 4}},
                                   grid=SMALL_BURGERS), [], 2, "InputError",

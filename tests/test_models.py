@@ -295,6 +295,23 @@ def test_boolean_parameters_are_refused():
                 make_model(name, {key: value})
 
 
+def test_number_and_string_parameters_are_not_interchanged():
+    # float("1.5") and str(5) would take either, so each converter checks the type
+    for name, key, value in [("ou", "a", "1.5"), ("linear2d-a2", "beta", np.str_("2")),
+                             ("burgers1d", "grid", "20"), ("burgers1d", "diffusion", 5)]:
+        with pytest.raises(InputError, match=f"parameter '{key}'"):
+            make_model(name, {key: value})
+    # numpy numbers are numbers
+    assert make_model("burgers1d", {"grid": np.int64(19), "K": 8, "d0": np.float32(0.5)}).dim == 19
+
+
+def test_check_hypothesis_takes_a_whole_sample_count(ou):
+    for n in (2.5, True, "10", 10.0):
+        with pytest.raises(InputError, match="n_samples"):
+            check_hypothesis(ou, n_samples=n)
+    assert type(check_hypothesis(ou, n_samples=np.int64(3)).n_samples) is int
+
+
 def _old_lap(u, h):
     out = -2.0 * np.asarray(u, dtype=np.float64)
     out[..., :-1] += u[..., 1:]
