@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonInvertibleDiffusionError
-from .grids import TimeGrid
+from .grids import TimeGrid, _as_table
 from .integrate import Path, _load_table, _save_table
 from .models import ModelSpec, drift, h_norm_sq
 
@@ -45,15 +45,8 @@ class Control:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] != self.grid.steps:
-            raise InputError(
-                f"control coefficients must have shape (steps, K) = "
-                f"({self.grid.steps}, K), got {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise InputError("control contains non-finite coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs",
+                           _as_table(self.coeffs, self.grid.steps, "control"))
 
     @property
     def sq_norm(self) -> float:

@@ -12,10 +12,12 @@ looks the library functions up when it runs.  One function, `_parse_block`,
 applies a key table to every mapping of a config: the command itself,
 `model`, `grid`/`view`, `event` (one table per kind) and `outputs`.
 
-The parsers check YAML types only, and every number must be finite.
-Ranges (dt > 0, horizons increasing, eps under the ceiling, seeds in 64
-bits, ...) are checked by the library function that uses the value,
-before it starts work, so a config and a library call get one answer.
+The parsers check YAML types only, by the shared rules of `grids`
+(`_as_int`, `_as_real`), which the model catalogue and the library use
+too; every number must be finite.  Ranges (dt > 0, horizons increasing,
+eps under the ceiling, seeds in 64 bits, ...) are checked by the library
+function that uses the value, before it starts work, so a config and a
+library call get one answer.
 
 Exit codes: 0 success, 2 validation problems (bad config, bad files),
 3 numerical failures (blow-up, non-convergence, stalled descent), with
@@ -38,7 +40,7 @@ from . import ldpverify, mam, pullback
 from .action import action as compute_action
 from .action import load_control, save_control
 from .errors import InputError, NonConvergenceError, ToolkitError
-from .grids import from_dt
+from .grids import _as_int, _as_real, from_dt
 from .integrate import em_step_sde, integrate_skeleton, load_path, save_path, write_json
 from .models import make_model, model_names
 from .noise import sample_noise
@@ -78,24 +80,10 @@ def _as_mapping(value, context: str) -> dict:  # null is an empty mapping
     return value
 
 
-def _as_number(value, context: str) -> float:
-    # NaN, infinities and integers past the float range all fail the comparison
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise InputError(f"{context}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{context}: expected an integer, got {value!r}")
-    return value
-
-
 def _as_numbers(value, context: str) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise InputError(f"{context}: expected a non-empty list of numbers")
-    return [_as_number(v, context) for v in value]
+    return [_as_real(v, context) for v in value]
 
 
 def _as_name(value, context: str) -> str:
@@ -117,7 +105,7 @@ def _block(keys: dict, build: Callable) -> Callable:
     return lambda block, context: build(**_parse_block(keys, block, context))
 
 
-_NUMBER = (_as_number, _REQUIRED)
+_NUMBER = (_as_real, _REQUIRED)
 _parse_grid = _block({"t_start": _NUMBER, "t_end": _NUMBER, "dt": _NUMBER}, from_dt)
 _parse_model = _block({"name": (_as_is, _REQUIRED), "params": (_as_mapping, None)}, make_model)
 # event kind -> its keys besides `kind`; the kind names an Event constructor
@@ -188,7 +176,7 @@ def _simulate(c, files):
 @_command("pullback", {"path": "pullback_path.csv",
                        "diagnostics": "pullback_diagnostics.json"},
           model=_MODEL, eps=_NUMBER, view=(_parse_grid, _REQUIRED), seed=_SEED,
-          horizons=_HORIZONS, tol=(_as_number, 1e-4))
+          horizons=_HORIZONS, tol=(_as_real, 1e-4))
 def _pullback(c, files):
     path, diag = pullback.pullback_stationary(c.model, c.eps, c.seed, c.view,
                                               horizons=c.horizons, tol=c.tol)
@@ -199,7 +187,7 @@ def _pullback(c, files):
                        "diagnostics": "skeleton_diagnostics.json"},
           model=_MODEL, control=(_as_name, None), x0=(_parse_x0, None),
           grid=(_parse_grid, None), view=(_parse_grid, None), horizons=_HORIZONS,
-          tol=(_as_number, 1e-4))
+          tol=(_as_real, 1e-4))
 def _skeleton(c, files):
     control = None if c.control is None else load_control(c.control)
     if c.view is not None:
@@ -241,7 +229,7 @@ def _mam(c, files):
 
 @_command("qpot", {"result": "qpot_result.json", "path": "qpot_path.csv"},
           model=_MODEL, target=(_as_numbers, _REQUIRED), T_schedule=(_as_numbers, None),
-          steps_per_unit=(_as_number, 50), tol=(_as_number, 1e-3))
+          steps_per_unit=(_as_real, 50), tol=(_as_real, 1e-3))
 def _qpot(c, files):
     result = mam.quasipotential(c.model, c.target, T_schedule=c.T_schedule,
                                 steps_per_unit=c.steps_per_unit, tol=c.tol)
@@ -252,8 +240,8 @@ def _qpot(c, files):
 @_command("verify-ldp", {"estimates": "ldp_estimates.csv", "fit": "ldp_fit.json"},
           model=_MODEL, event=(_parse_event, _REQUIRED), seed=_SEED,
           eps_list=(_as_numbers, None), n_samples=(_as_int, _REQUIRED),
-          dt=(_as_number, None), horizons=_HORIZONS, tol=(_as_number, 1e-3),
-          reference=(_as_number, None))
+          dt=(_as_real, None), horizons=_HORIZONS, tol=(_as_real, 1e-3),
+          reference=(_as_real, None))
 def _verify_ldp(c, files):
     # the slope fit needs 3 distinct eps (the default schedule has 4)
     if c.reference is not None and c.eps_list is not None and len(set(c.eps_list)) < 3:

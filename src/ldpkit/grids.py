@@ -1,14 +1,19 @@
-"""Uniform time grids.
+"""Uniform time grids, and the rules every input value is checked by.
 
 Every trajectory, noise record and control in the toolkit lives on a
 uniform grid [t_start, t_end] with `steps` increments.  States are sampled
 at the steps+1 grid points; increments and controls are attached to the
 steps left endpoints.
+
+The command line, the model catalogue and the library functions decide
+what an integer, a finite real, a positive real, a real vector and a
+per-step table are by the functions here, and by no other code.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +26,59 @@ from .errors import InputError
 _ALIGN_RTOL = 1e-9
 
 
-def _as_int(name: str, value) -> int:
+def _as_int(value, context: str) -> int:
     """value as an int; InputError unless it is a Python or numpy integer (bool is not)."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InputError(f"{name} must be an integer, got {value!r}")
+        raise InputError(f"{context} must be an integer, got {type(value).__name__} {value!r}")
     return int(value)
+
+
+def _is_number(value) -> bool:
+    """A Python or numpy int or float that a float64 holds; a bool or str is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    # exact for a Python int, which float() would overflow past the float range; a numpy
+    # number is not compared, as numpy casts the bound into its dtype (float32 overflows)
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
+
+
+def _as_real(value, context: str) -> float:
+    """value as a float; InputError unless it is a finite number (_is_number)."""
+    if not (_is_number(value) and math.isfinite(value)):
+        raise InputError(f"{context} must be a finite number, "
+                         f"got {type(value).__name__} {value!r}")
+    return float(value)
+
+
+def _is_numbers(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(_is_numbers(v) for v in value)
+    return _is_number(value)
+
+
+def _as_reals(value, context: str) -> np.ndarray:
+    """value as a float64 array; InputError unless it is a number, an integer or float
+    ndarray, or a list or tuple of these.  Entries may be infinite or NaN."""
+    try:
+        if _is_numbers(value):
+            return np.asarray(value, dtype=np.float64)
+    except ValueError:  # lists nested to uneven depths or lengths
+        pass
+    raise InputError(f"{context} must be numbers, got {value!r}")
+
+
+def _as_table(values, steps: int, context: str) -> np.ndarray:
+    """A per-step table as float64; InputError unless it is 2-D with `steps` rows of
+    finite numbers."""
+    table = _as_reals(values, context)
+    if table.ndim != 2 or table.shape[0] != steps:
+        raise InputError(f"{context} must have shape (steps, K) = ({steps}, K), "
+                         f"got {table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise InputError(f"{context} contains non-finite values")
+    return table
 
 
 @dataclass(frozen=True)
@@ -37,13 +90,13 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not np.isfinite(self.t_start) or not np.isfinite(self.t_end):
-            raise InputError("grid endpoints must be finite")
+        _as_real(self.t_start, "grid start")
+        _as_real(self.t_end, "grid end")
         if self.t_end <= self.t_start:
             raise InputError(
                 f"grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
-        steps = _as_int("grid step count", self.steps)
+        steps = _as_int(self.steps, "grid step count")
         if steps < 1:
             raise InputError(f"grid needs a positive integer step count, got {steps}")
         object.__setattr__(self, "steps", steps)
@@ -81,7 +134,8 @@ def from_dt(t_start: float, t_end: float, dt: float) -> TimeGrid:
     a silently stretched dt would break noise-record alignment.
     """
     check_positive(dt, "dt")
-    steps = whole_steps((t_end - t_start) / dt,
+    span = _as_real(t_end, "grid end") - _as_real(t_start, "grid start")
+    steps = whole_steps(span / dt,
                         f"window [{t_start}, {t_end}] is not an integer number of dt={dt} steps")
     return TimeGrid(t_start, t_end, steps)  # which refuses an empty or reversed window
 
@@ -91,17 +145,19 @@ def same_spacing(a: TimeGrid, b: TimeGrid) -> bool:
 
 
 def check_positive(x: float, name: str) -> None:
-    """InputError unless x is positive and finite (NaN is neither)."""
-    if not 0 < x < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {x}")
+    """InputError unless x is a number (_is_number), positive and finite (NaN is neither)."""
+    if not (_is_number(x) and 0 < x < math.inf):
+        raise InputError(f"{name} must be positive and finite, got {x!r}")
 
 
 def check_horizons(horizons, least: int, name: str = "horizons") -> list[float]:
     """`horizons` as floats; InputError unless `least` or more, positive, finite, increasing."""
-    h = [float(n) for n in horizons]
-    # strictly increasing from a positive first to a finite last: all finite, and NaN fails
-    if len(h) < least or not (0 < h[0] and h[-1] < math.inf
-                              and all(a < b for a, b in zip(h, h[1:]))):
+    values = _as_reals(horizons, name)
+    h = values.tolist()
+    # one list, strictly increasing from a positive first to a finite last: all finite,
+    # and NaN fails
+    if values.ndim != 1 or len(h) < least or not (0 < h[0] and h[-1] < math.inf
+                                                  and all(a < b for a, b in zip(h, h[1:]))):
         raise InputError(f"{name} must be {least} or more positive, finite and strictly "
                          f"increasing values, got {h}")
     return h

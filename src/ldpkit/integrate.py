@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, InputError
-from .grids import (_ALIGN_RTOL, TimeGrid, _as_int, check_positive, same_spacing,
-                    step_offset, uniform_spacing, whole_steps)
+from .grids import (_ALIGN_RTOL, TimeGrid, _as_int, _as_reals, _as_table, _is_number,
+                    check_positive, same_spacing, step_offset, uniform_spacing, whole_steps)
 from .models import ModelSpec, drift, h_norm_sq
 from .noise import NoisePath
 
@@ -45,7 +45,7 @@ class Path:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.float64)
+        states = _as_reals(self.states, "path states")
         if states.ndim not in (2, 3) or states.shape[0] != self.grid.steps + 1:
             raise InputError(
                 f"path states must have shape (steps+1, dim) or (steps+1, rows, dim) "
@@ -110,7 +110,7 @@ def write_json(record: dict, filename) -> None:
 def check_state(model: ModelSpec, x, what: str = "initial state") -> np.ndarray:
     """x as a float array (a scalar for a one-dimensional model); InputError unless
     it is one finite state of the model."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_1d(_as_reals(x, what))
     if x.shape != (model.dim,):
         raise InputError(
             f"{what} for '{model.name}' must have shape ({model.dim},), got {x.shape}"
@@ -122,15 +122,15 @@ def check_state(model: ModelSpec, x, what: str = "initial state") -> np.ndarray:
 
 def _check_start(model: ModelSpec, x0) -> np.ndarray:
     """x0 as one state (dim,) or a block (rows, dim) of them, each row checked by check_state."""
-    x = np.asarray(x0, dtype=np.float64)
+    x = _as_reals(x0, "initial state")
     if x.ndim == 2 and len(x):
         return np.array([check_state(model, row) for row in x])
     return check_state(model, x)
 
 
 def check_eps(model: ModelSpec, eps: float) -> None:
-    if not eps >= 0:
-        raise InputError(f"eps must be non-negative, got {eps}")
+    if not (_is_number(eps) and eps >= 0):
+        raise InputError(f"eps must be a non-negative number, got {eps!r}")
     if eps > model.eps0:
         raise ConfigurationError(
             f"eps = {eps} exceeds the admissible ceiling {model.eps0} of '{model.name}'"
@@ -241,7 +241,7 @@ def _checked_path(model: ModelSpec, advance, x0: np.ndarray, grid: TimeGrid,
     CHECK_EVERY steps.  Steps before the record go into one reusable CHECK_EVERY scratch
     block, scanned alike.  The error names the first diverging step and, for a block, its
     first diverging row (also set as the error's `row`)."""
-    record = grid.steps if record is None else _as_int("record", record)
+    record = grid.steps if record is None else _as_int(record, "record")
     if not 1 <= record <= grid.steps:
         raise InputError(f"record must be 1 to {grid.steps} steps of {grid}, got {record}")
     start = grid.steps - record
@@ -301,20 +301,14 @@ def _control_table(model: ModelSpec, grid: TimeGrid, control) -> np.ndarray:
     """
     if control is None:
         return np.zeros((grid.steps, model.modes))
-    coeffs = getattr(control, "coeffs", None)
-    if coeffs is None:
-        coeffs = np.asarray(control, dtype=np.float64)
-        if coeffs.shape != (grid.steps, model.modes):
-            raise InputError(
-                f"raw control must have shape ({grid.steps}, {model.modes}), got {coeffs.shape}"
-            )
-        return coeffs
-    cgrid: TimeGrid = control.grid
+    if getattr(control, "coeffs", None) is None:  # a raw table, on `grid` itself
+        cgrid, coeffs = grid, _as_table(control, grid.steps, "raw control")
+    else:
+        cgrid, coeffs = control.grid, np.asarray(control.coeffs, dtype=np.float64)
     if not same_spacing(cgrid, grid):
         raise InputError(
             f"control dt {cgrid.dt} does not match trajectory dt {grid.dt}"
         )
-    coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape[1] != model.modes:
         raise InputError(
             f"control carries {coeffs.shape[1]} modes, model expects {model.modes}"

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .grids import _as_int, check_positive, ladder_steps
+from .grids import _as_int, _as_real, _as_reals, _is_number, check_positive, ladder_steps
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_stepper, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_stream
@@ -49,23 +49,23 @@ class Event:
 
     @classmethod
     def norm_ge(cls, threshold: float) -> "Event":
-        if not threshold >= 0:
-            raise InputError(f"norm threshold must be non-negative, got {threshold}")
+        if not (_is_number(threshold) and threshold >= 0):
+            raise InputError(f"norm threshold must be a non-negative number, got {threshold!r}")
         return cls(kind="norm_ge", threshold=float(threshold))
 
     @classmethod
     def coord_ge(cls, index: int, threshold: float) -> "Event":
-        index = _as_int("coordinate index", index)
+        index = _as_int(index, "coordinate index")
         if index < 0:
             raise InputError(f"coordinate index must be non-negative, got {index}")
-        if math.isnan(threshold):
-            raise InputError("coordinate threshold is NaN")
+        if not _is_number(threshold) or math.isnan(threshold):
+            raise InputError(f"coordinate threshold must be a number, not NaN, got {threshold!r}")
         return cls(kind="coord_ge", threshold=float(threshold), index=index)
 
     @classmethod
     def box(cls, lo, hi) -> "Event":
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
+        lo = np.atleast_1d(_as_reals(lo, "box corner lo"))
+        hi = np.atleast_1d(_as_reals(hi, "box corner hi"))
         if lo.shape != hi.shape:
             raise InputError(f"box corners must match, got {lo.shape} vs {hi.shape}")
         if not np.all(lo <= hi):  # NaN corners fail too; infinite ones leave a side open
@@ -248,7 +248,7 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     depend on m; with m = 1 they are those of stepping at dt throughout.
     """
     check_eps(model, eps)
-    n_samples = _as_int("sample count", n_samples)
+    n_samples = _as_int(n_samples, "sample count")
     if n_samples < 1:
         raise InputError(f"need at least one sample, got {n_samples}")
     check_positive(tol, "tol")
@@ -375,6 +375,7 @@ def ldp_slope(estimates, reference: float) -> SlopeFit:
     two-point extrapolation from the two smallest eps and the distance
     of the fitted intercept to -reference.
     """
+    reference = _as_real(reference, "reference")
     usable = [e for e in estimates if e.log_scaled is not None]
     if len(usable) < 3:
         raise InsufficientDataError(
@@ -402,7 +403,7 @@ def ldp_slope(estimates, reference: float) -> SlopeFit:
         intercept=float(intercept),
         slope=float(slope),
         richardson=richardson,
-        reference=float(reference),
+        reference=reference,
         distance=float(abs(intercept + reference)),
         residuals=[float(r) for r in resid],
         n_points=len(usable),

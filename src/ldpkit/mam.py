@@ -132,7 +132,7 @@ def solve_horizon(model: ModelSpec, target, T: float, grid_steps: int,
         )
     target = check_state(model, target, "target")
     check_positive(T, "horizon")
-    grid_steps = _as_int("step count", grid_steps)
+    grid_steps = _as_int(grid_steps, "step count")
     if grid_steps < 2:
         raise InputError(f"need at least 2 steps to have interior states, got {grid_steps}")
     grid = TimeGrid(-float(T), 0.0, grid_steps)

@@ -29,14 +29,13 @@ occupies the last axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .grids import _as_int
+from .grids import _as_int, _as_real
 
 
 @dataclass(frozen=True)
@@ -310,10 +309,9 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         raise InputError(f"burgers1d mode count must lie in [1, {n}], got {kmax}")
     if d0 <= 0:
         raise InputError(f"burgers1d needs d0 > 0, got {d0}")
-    if diffusion not in ("multiplicative", "additive"):
-        raise InputError(
-            f"burgers1d diffusion must be 'multiplicative' or 'additive', got {diffusion!r}"
-        )
+    if not (isinstance(diffusion, str) and diffusion in ("multiplicative", "additive")):
+        raise InputError(f"model 'burgers1d' parameter 'diffusion' must be 'multiplicative' "
+                         f"or 'additive', got {diffusion!r}")
     h = 1.0 / (n + 1)
     x = h * np.arange(1, n + 1)
 
@@ -458,51 +456,19 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
 # ---------------------------------------------------------------------------
 # registry
 
-def _number(value) -> float:
-    """value as a float; only a Python or numpy int or float: a boolean (YAML true/false)
-    is not read as 1/0, nor a string such as "1.5" as a number."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"expected a number, got the boolean {value!r}")
-    if not isinstance(value, (int, float, np.integer, np.floating)):
-        raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
-    return float(value)
-
-
-def _real(value) -> float:
-    """A finite real parameter; NaN and infinities are refused."""
-    x = _number(value)
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return x
-
-
-def _whole(value) -> int:
-    """An integer-valued parameter; 20.9 is refused, not truncated."""
-    x = _number(value)
-    if not x.is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(x)
-
-
-def _text(value) -> str:
-    """A string parameter; 5 is refused, not read as "5"."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
-    return value
-
-
-# name -> (factory, config-facing parameter names -> (factory kwarg, conversion))
+# name -> (factory, config-facing parameter names -> (factory kwarg, grids checker, or
+# None for a name the factory checks against its choices))
 _REGISTRY = {
-    "ou": (_make_ou, {"a": ("a", _real)}),
+    "ou": (_make_ou, {"a": ("a", _as_real)}),
     "periodic1d": (_make_periodic1d, {}),
-    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": ("lam", _real)}),
+    "linear2d-a1": (lambda **kw: _make_linear2d("a1", **kw), {"lambda": ("lam", _as_real)}),
     "linear2d-a2": (lambda **kw: _make_linear2d("a2", **kw),
-                    {"lambda": ("lam", _real), "beta": ("beta", _real)}),
-    "hopf-radial": (_make_hopf_radial, {"c": ("c", _real)}),
+                    {"lambda": ("lam", _as_real), "beta": ("beta", _as_real)}),
+    "hopf-radial": (_make_hopf_radial, {"c": ("c", _as_real)}),
     "burgers1d": (
         _make_burgers1d,
-        {"grid": ("n", _whole), "K": ("kmax", _whole), "d0": ("d0", _real),
-         "diffusion": ("diffusion", _text)},
+        {"grid": ("n", _as_int), "K": ("kmax", _as_int), "d0": ("d0", _as_real),
+         "diffusion": ("diffusion", None)},
     ),
 }
 
@@ -527,12 +493,9 @@ def make_model(name: str, params: Optional[dict] = None) -> ModelSpec:
         )
     kwargs = {}
     for key, value in params.items():
-        kwarg, convert = allowed[key]
-        try:
-            kwargs[kwarg] = convert(value)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise InputError(f"model {name!r} parameter {key!r}: cannot use {value!r} "
-                             f"({err})") from None
+        kwarg, check = allowed[key]
+        context = f"model {name!r} parameter {key!r}"
+        kwargs[kwarg] = value if check is None else check(value, context)
     return factory(**kwargs)
 
 
@@ -564,9 +527,15 @@ def check_hypothesis(model: ModelSpec, n_samples: int = 200, seed: int = 0,
     tol is a violation.  The zero-equilibrium inequality is only
     meaningful for models whose rest state is 0 and is skipped otherwise.
     """
-    n_samples = _as_int("n_samples", n_samples)
+    n_samples = _as_int(n_samples, "n_samples")
     if n_samples < 1:
         raise InputError("n_samples must be positive")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    tol = _as_real(tol, "tol")
+    if tol < 0:
+        raise InputError(f"tol must be non-negative, got {tol}")
     rng = np.random.default_rng(seed)
     cst = model.constants
     c_max = float(np.max(model.mode_weights))

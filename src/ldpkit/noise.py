@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InputError
-from .grids import TimeGrid, _as_int, check_positive, step_offset, whole_steps
+from .grids import TimeGrid, _as_int, _as_table, check_positive, step_offset, whole_steps
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -62,7 +62,7 @@ _pool_lock = threading.Lock()
 
 
 def _as_u64(seed: int) -> np.uint64:
-    seed = _as_int("seed", seed)
+    seed = _as_int(seed, "seed")
     if seed < 0 or seed > _U64_MAX:
         raise InputError(f"seed must fit in 64 unsigned bits, got {seed}")
     return np.uint64(seed)
@@ -86,7 +86,7 @@ def derive_seed(seed: int, index: int) -> int:
     Double mixing keeps the child streams out of phase with the parent's
     own counter sequence.
     """
-    index = _as_int("stream index", index)
+    index = _as_int(index, "stream index")
     if index < 0:
         raise InputError(f"stream index must be non-negative, got {index}")
     return int(derive_seeds_from(seed, index, 1)[0])
@@ -95,8 +95,8 @@ def derive_seed(seed: int, index: int) -> int:
 def derive_seeds_from(seed: int, first_index: int, count: int) -> np.ndarray:
     """Child seeds for indices [first_index, first_index + count), as uint64; index i
     takes counter i + 1, so the last index is 2**64 - 2."""
-    first_index = _as_int("first stream index", first_index)
-    count = _as_int("stream count", count)
+    first_index = _as_int(first_index, "first stream index")
+    count = _as_int(count, "stream count")
     if first_index < 0 or count < 0:
         raise InputError(
             f"stream index range must be non-negative, got start {first_index} "
@@ -135,10 +135,10 @@ def _executor():
 
 def _window(first_step, steps, modes, dt, stride=1) -> tuple:
     """The checked (first_step, steps, modes, dt, stride) of one block."""
-    first_step = _as_int("first step", first_step)
-    steps = _as_int("step count", steps)
-    modes = _as_int("mode count", modes)
-    stride = _as_int("stride", stride)
+    first_step = _as_int(first_step, "first step")
+    steps = _as_int(steps, "step count")
+    modes = _as_int(modes, "mode count")
+    stride = _as_int(stride, "stride")
     if modes < 1:
         raise InputError(f"mode count must be positive, got {modes}")
     if steps < 0:
@@ -297,15 +297,8 @@ class NoisePath:
     increments: np.ndarray
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim != 2 or inc.shape[0] != self.grid.steps:
-            raise InputError(
-                f"increment record must have shape (steps, modes) = "
-                f"({self.grid.steps}, K), got {inc.shape}"
-            )
-        if not np.all(np.isfinite(inc)):
-            raise InputError("increment record contains non-finite values")
-        object.__setattr__(self, "increments", inc)
+        object.__setattr__(self, "increments",
+                           _as_table(self.increments, self.grid.steps, "increment record"))
 
     @property
     def modes(self) -> int:
@@ -330,8 +323,12 @@ def sample_noise(grid: TimeGrid, modes: int, seed: int) -> NoisePath:
     anchored lattice see one and the same realization: regeneration is a
     pure function of (seed, absolute step, mode).
     """
-    dt = grid.dt
-    base = whole_steps(grid.t_start / dt, f"window start {grid.t_start} is not on the "
-                       f"dt = {dt} step lattice anchored at t = 0")
-    block = gaussian_block([seed], base, grid.steps, modes, dt)
+    block = gaussian_block([seed], _start_step(grid), grid.steps, modes, grid.dt)
     return NoisePath(grid, block[0])
+
+
+def _start_step(grid: TimeGrid) -> int:
+    """The step of grid.t_start on the grid.dt lattice anchored at t = 0; InputError
+    unless it is on that lattice."""
+    return whole_steps(grid.t_start / grid.dt, f"window start {grid.t_start} is not on the "
+                       f"dt = {grid.dt} step lattice anchored at t = 0")

@@ -38,11 +38,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, NonConvergenceError
-from .grids import TimeGrid, check_positive, ladder_steps, step_offset, whole_steps
+from .grids import TimeGrid, _as_real, check_positive, ladder_steps, step_offset, whole_steps
 from .integrate import CHECK_EVERY, Path, check_eps, em_step_sde, integrate_skeleton
 from .ldpverify import line_fit
 from .models import ModelSpec, h_norm
-from .noise import NoisePath, gaussian_block
+from .noise import NoisePath, _start_step, gaussian_block
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,11 @@ def _em(model: ModelSpec, eps: float, seed: int, longest: TimeGrid, shift: int =
     """_run_ladder's `integrate` for the noisy equation, each segment drawing its noise
     when it starts: the words a record of seed's realization over `longest` would give
     it, `shift` steps later, at longest.dt."""
-    dt = longest.dt
-    first = whole_steps(longest.t_start / dt, f"window start {longest.t_start} is not on "
-                        f"the dt = {dt} step lattice anchored at t = 0") + shift
+    first = _start_step(longest) + shift
 
     def integrate(x0, grid, record):
         words = gaussian_block([seed], first + step_offset(longest, grid), grid.steps,
-                               model.modes, dt)
+                               model.modes, longest.dt)
         return em_step_sde(model, x0, grid, NoisePath(grid, words[0]), eps, record)
 
     return integrate
@@ -206,7 +204,7 @@ def stationarity_check(model: ModelSpec, eps: float, seed: int, s: float,
         view = TimeGrid(-2.0, 2.0, int(round(4.0 / dt)))
     dt = view.dt
     not_a_shift = f"shift {s} must be a non-negative multiple of dt={dt}"
-    shift = whole_steps(s / dt, not_a_shift)
+    shift = whole_steps(_as_real(s, "shift") / dt, not_a_shift)
     if shift < 0:
         raise InputError(not_a_shift)
     if horizons is None:

@@ -426,6 +426,11 @@ CONFIG_MISTAKES = [
                                               "params": {"grid": 20, "K": 4.5}},
                                   grid=SMALL_BURGERS), [], 2, "InputError",
                  id="burgers-fractional-K"),
+    # a grid size is an integer, as n_samples is: 20.0 is refused, not read as 20
+    pytest.param("simulate", dict(SIM, model={"name": "burgers1d",
+                                              "params": {"grid": 20.0, "K": 4}},
+                                  grid=SMALL_BURGERS), [], 2, "InputError",
+                 id="burgers-float-grid"),
     # a YAML boolean is no model number: true is not read as 1
     pytest.param("simulate", dict(SIM, model={"name": "ou", "params": {"a": True}}), [], 2,
                  "InputError", id="model-param-boolean"),

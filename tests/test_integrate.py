@@ -127,9 +127,12 @@ def test_skeleton_control_objects_and_zero_extension(ou):
     # zero control before t = 0.5 keeps the trajectory at the rest state
     assert np.allclose(p.states[: g.index_of(0.5) + 1], 0.0)
     assert p.states[-1, 0] != 0.0
-    # raw tables must match the grid exactly
+    # raw tables must match the grid exactly, and hold finite numbers: a NaN table is a
+    # validation error, not a divergence at step 1
     with pytest.raises(InputError):
         integrate_skeleton(ou, np.array([0.0]), g, control=np.ones((7, 1)))
+    with pytest.raises(InputError):
+        integrate_skeleton(ou, np.array([0.0]), g, control=np.full((g.steps, 1), np.nan))
     bad_spacing = Control(from_dt(0.0, 1.0, 0.02), np.ones((50, 1)))
     with pytest.raises(InputError):
         integrate_skeleton(ou, np.array([0.0]), g, control=bad_spacing)

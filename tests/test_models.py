@@ -291,7 +291,7 @@ def test_boolean_parameters_are_refused():
     for name, key in [("ou", "a"), ("linear2d-a2", "beta"), ("burgers1d", "K"),
                       ("burgers1d", "grid")]:
         for value in (True, False, np.True_):
-            with pytest.raises(InputError, match=f"parameter '{key}'.*boolean"):
+            with pytest.raises(InputError, match=f"parameter '{key}'.*bool"):
                 make_model(name, {key: value})
 
 
@@ -310,6 +310,17 @@ def test_check_hypothesis_takes_a_whole_sample_count(ou):
         with pytest.raises(InputError, match="n_samples"):
             check_hypothesis(ou, n_samples=n)
     assert type(check_hypothesis(ou, n_samples=np.int64(3)).n_samples) is int
+
+
+def test_check_hypothesis_checks_seed_and_tol(ou):
+    # numpy's errors, a NaN tol that fails every margin and a True seed are not answers
+    for seed in (2.5, -1, True):
+        with pytest.raises(InputError, match="seed"):
+            check_hypothesis(ou, n_samples=5, seed=seed)
+    for tol in ("x", float("nan"), float("inf"), -1.0):
+        with pytest.raises(InputError, match="tol"):
+            check_hypothesis(ou, n_samples=5, tol=tol)
+    assert check_hypothesis(ou, n_samples=5, seed=np.int64(1), tol=0).passed
 
 
 def _old_lap(u, h):
