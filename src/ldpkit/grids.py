@@ -121,6 +121,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid point index of time t; t must sit on the grid."""
+        t = _as_real(t, "time")
         i = whole_steps((t - self.t_start) / self.dt, f"time {t} is not a point of {self}")
         if i < 0 or i > self.steps:
             raise InputError(f"time {t} is not a point of {self}")

@@ -29,7 +29,8 @@ from .noise import derive_seed, derive_seeds_from, gaussian_stream
 
 _Z95 = 1.959963984540054
 _DRIVE_WORDS = 4_000_000  # drive words of one check interval, summed over a seed chunk
-_BURN_STEP = 0.01  # the burn-in's coarse step, in relaxation times
+_BURN_STEP = 0.01  # the sampler's coarse step, in relaxation times
+_FINE_TAIL = 7.5  # the joint run's fine steps before time 0, in relaxation times
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def make_estimate(eps: float, event: str, n_samples: int, hits: int) -> MCEstima
 
 
 def _burn_stride(model: ModelSpec, dt: float) -> int:
-    """Fine steps per coarse burn-in step: as many as fit in _BURN_STEP relaxation
+    """Fine steps per coarse sampler step: as many as fit in _BURN_STEP relaxation
     times and under a known explicit-step bound; at least 1, and 1 with no bound.
 
     The bound is the model's declared stability ceiling, or, for a linear drift A
@@ -179,29 +180,38 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
     """Time-0 states of one chunk, shape (2, n, dim), the longer horizon first.
 
     The horizons are two blocks of n rows of one state that share each step's
-    drive, so both see the same realization per seed.  The burn-in, from the
-    longer horizon's start to the shorter one's, steps the longer one's rows
-    alone; they only forget their rest state, so they step at m*dt
-    (m = _burn_stride), coarse step k on the word of fine step start + k*m (a
-    strided noise window), from a start rounded down to whole coarse steps.
-    The joint run then steps all 2n rows at dt to 0.  Each stretch comes in
-    pieces of CHECK_EVERY // 4 of its own steps from its first step, each one
-    gaussian_stream window, mode_drive and advance; the pool fills the next
-    piece while this thread steps one, so two pieces, about half of one check
-    interval's noise, are alive at a time.  As integrate._checked_path does, the
-    longer horizon is checked for divergence after every CHECK_EVERY steps of a
-    stretch and at its end; the error names the last fine step covered, counted
-    from that horizon's start.  However the run ends, the piece in flight is
-    unclaimed.
+    drive, so both see the same realization per seed.  Three stretches on one
+    lattice of m*dt steps (m = _burn_stride), whose coarse step k takes the word
+    of the fine step it starts on (a strided noise window):
+    - the burn-in, from the longer horizon's start, rounded down to whole coarse
+      steps, to the shorter one's: the longer one's rows alone, coarse;
+    - the joint coarse run: all 2n rows at m*dt to the fine tail;
+    - the fine tail: all 2n rows at dt to 0.
+    What the coarse steps get wrong reaches time 0 damped by about
+    e^-_FINE_TAIL: the tail is _FINE_TAIL relaxation times, rounded up to whole
+    coarse steps from the shorter start and capped at the shorter horizon.  With
+    m = 1, or a shorter horizon under the tail, the joint run is one fine
+    stretch.  Each stretch comes in pieces of CHECK_EVERY // 4 of its
+    own steps from its first step, each one gaussian_stream window, mode_drive
+    and advance; the pool fills the next piece while this thread steps one, so
+    two pieces, about half of one check interval's noise, are alive at a time.
+    As integrate._checked_path does, the longer horizon is checked for
+    divergence after every CHECK_EVERY steps of a stretch and at its end; the
+    error names the last fine step covered, counted from that horizon's start.
+    However the run ends, the piece in flight is unclaimed.
     """
     n = len(seeds)
     short, long = steps_list
     m = _burn_stride(model, dt)
     burn = -(-(long - short) // m)  # coarse steps, the start rounded down to whole ones
     start = -short - burn * m
+    fine = math.ceil(_FINE_TAIL / (model.relax_rate * dt) - 1e-9)
+    joint = 0 if m == 1 else max(0, (short - fine) // m)  # coarse steps of the joint run
+    tail = short - joint * m
     piece = CHECK_EVERY // 4
     pieces = []  # (rows, first fine step, steps of `stride` fine ones, stride, checked after it)
-    for rows, first, steps, stride in ((n, start, burn, m), (2 * n, -short, short, 1)):
+    for rows, first, steps, stride in ((n, start, burn, m), (2 * n, -short, joint, m),
+                                       (2 * n, -tail, tail, 1)):
         for k in range(0, steps, piece):
             size = min(piece, steps - k)
             checked = (k + size) % CHECK_EVERY == 0 or k + size == steps
@@ -237,15 +247,16 @@ def sample_stationary(model: ModelSpec, eps: float, n_samples: int, seed: int,
     Each sample integrates its own derived-seed realization from two
     rest-state start times, `horizons` (exactly two; default 10 and 20
     relaxation times); the H-gap between the two runs at time 0 must fall
-    below `tol` or the offending seed is reported.  In the burn-in, until the
-    shorter run starts, the longer one only forgets its rest state and steps at
-    m*dt, on every m-th noise word, from a start rounded down to whole such
-    steps: m = max(1, floor(0.01 / (relax_rate * dt))), capped by a known
-    explicit-step bound, the model's max_stable_dt or, for a linear drift with
-    additive noise, half EM's stability step; m = 1 for other models.  The
-    joint run steps both at dt to 0.  Each stretch's pieces and divergence
-    checks count from its own first step and change no sample.  The samples
-    depend on m; with m = 1 they are those of stepping at dt throughout.
+    below `tol` or the offending seed is reported.  Both runs step at m*dt, on
+    every m-th noise word, until the last 7.5 relaxation times before 0, and at
+    dt from there: the burn-in, until the shorter run starts, steps the longer one
+    alone from a start rounded down to whole coarse steps, and the fine tail is
+    rounded up to whole coarse steps and capped at the shorter horizon.
+    m = max(1, floor(0.01 / (relax_rate * dt))), capped by a known explicit-step
+    bound, the model's max_stable_dt or, for a linear drift with additive noise,
+    half EM's stability step; m = 1 for other models.  Each stretch's pieces and
+    divergence checks count from its own first step and change no sample.  The
+    samples depend on m; with m = 1 they are those of stepping at dt throughout.
     """
     check_eps(model, eps)
     n_samples = _as_int(n_samples, "sample count")

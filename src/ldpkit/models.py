@@ -387,32 +387,34 @@ def _make_burgers1d(n: int = 64, kmax: int = 16, d0: float = 1.0,
         state_rows = state.reshape(-1, blocks, n + 2)[..., 1:-1]
         b = np.empty(rows)
         b_rows = b.reshape(-1, blocks, 1)
+        # `out` goes positionally: parsing it as a keyword is most of what a ufunc call
+        # on rows this short costs beyond its work
         with np.errstate(over="ignore", invalid="ignore"):
             for i, d in enumerate(drive):
-                np.multiply(state, state, out=sq)
+                np.multiply(state, state, sq)
                 if multiplicative:  # d0 / (1 + h |u|^2)
-                    np.add.reduce(sq_inner, axis=-1, out=b)
-                    np.multiply(b, h_, out=b)
-                    np.add(b, one, out=b)
-                    np.divide(d0_, b, out=b)
-                    np.multiply(b_rows, d, out=kick_rows)
-                np.add(state, zero, out=u_plus0)
-                np.subtract(ahead, behind, out=diff_mid)
-                np.divide(diff, two_h, out=diff)
-                np.multiply(du, state, out=du)
-                np.add(du, duu, out=du)
-                np.divide(du, three, out=du)
-                np.multiply(state, minus_two, out=f)
-                np.add(f_lo, right, out=f_lo)
-                np.add(f_hi, left, out=f_hi)
-                np.divide(f, h_sq, out=f)
-                np.add(f, du, out=f)
-                np.multiply(f, step, out=f)
-                np.add(inner, f_inner, out=inner)
+                    np.add.reduce(sq_inner, -1, None, b)
+                    np.multiply(b, h_, b)
+                    np.add(b, one, b)
+                    np.divide(d0_, b, b)
+                    np.multiply(b_rows, d, kick_rows)
+                np.add(state, zero, u_plus0)
+                np.subtract(ahead, behind, diff_mid)
+                np.divide(diff, two_h, diff)
+                np.multiply(du, state, du)
+                np.add(du, duu, du)
+                np.divide(du, three, du)
+                np.multiply(state, minus_two, f)
+                np.add(f_lo, right, f_lo)
+                np.add(f_hi, left, f_hi)
+                np.divide(f, h_sq, f)
+                np.add(f, du, f)
+                np.multiply(f, step, f)
+                np.add(inner, f_inner, inner)
                 if multiplicative:
-                    np.add(state, kick, out=state)
+                    np.add(state, kick, state)
                 else:
-                    np.add(state_rows, d, out=state_rows)
+                    np.add(state_rows, d, state_rows)
                 if path is not None:
                     path[i] = u
         x[...] = u

@@ -57,6 +57,9 @@ def digests() -> dict:
                                                      horizons=[5.0, 10.0], tol=1.0)),
         "sample linear2d-a2 fine": _sha(sample_stationary(a2, 0.2, 64, seed=5, dt=0.02,
                                                           horizons=[5.0, 10.0], tol=1.0)),
+        # the default horizons at m = 3: coarse steps of both horizons before the fine tail
+        "sample linear2d-a2 joint coarse": _sha(sample_stationary(a2, 0.2, 8, seed=5, dt=0.01,
+                                                                  tol=1.0)),
         "sample burgers1d": _sha(sample_stationary(small, 0.05, 4, seed=3,
                                                    horizons=[0.3, 0.6], tol=1.0)),
         # a burn-in of coarse steps (3 dt) in the fused kernel

@@ -56,6 +56,14 @@ def test_index_of():
         g.index_of(0.05)
     with pytest.raises(InputError):
         g.index_of(1.1)
+    # a time is a finite number: a string or None is refused by name, not left to a bare
+    # TypeError, and True is not read as t = 1
+    path = Path(g, np.zeros((11, 1)))
+    for bad in ("x", None, True, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="time must be a finite number"):
+            g.index_of(bad)
+        with pytest.raises(InputError, match="time must be a finite number"):
+            path.at(bad)
 
 
 def test_step_offset_and_spacing():

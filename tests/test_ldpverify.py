@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,8 +124,9 @@ def test_sampling_frozen_values(ou, lin_a1, lin_a2, monkeypatch):
     # frozen-seed samples are part of the reproducibility contract: a faster
     # engine must reproduce these bytes exactly.  The first digest of each row was
     # pinned before the coarse burn-in and is reproduced with one fine step per
-    # burn-in step; the second is the default path's.  ou at dt 0.01 and burgers1d
-    # at its default dt already take m = 1, the planar models at dt 0.005 m = 6.
+    # coarse step; the second is the default path's, with coarse steps until the fine
+    # tail.  ou at dt 0.01 and burgers1d at its default dt already take m = 1, the
+    # planar models at dt 0.005 m = 6.
     def sha256(a):
         return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
 
@@ -135,11 +137,11 @@ def test_sampling_frozen_values(ou, lin_a1, lin_a2, monkeypatch):
          "702562bdcfe8ca57951e18d30f8f6e6bc3c011230bc04392e7ffad9fd59633cc"),
         (lin_a1, 0.2, 64, 5, 0.005,
          "03afdb8ee19056a69b7fecfc377f7127f54221e2265e7011231cccd6d4c00b5e",
-         "4a8922188c7042911c008a8e24efe46a4ae394cc57d297f37d70f309da520364"),
+         "1f0dc5950853a8ee5666520687a0e4608cc185581cf1a7b22ecdb28e83a68852"),
         # the rotation and the non-identity mode matrix: fixed-order products
         (lin_a2, 0.2, 64, 5, 0.005,
          "8ac47f6aee83db26b92d185a50de8ca015475f2c6d9597d1b954ba918cf3aa3a",
-         "85b80fc87d981c955ef79a67556ee4afd3a7dc335b82d2758032860b59e8fb6e"),
+         "01632fcf2d93aeef4c29c0e881c7bd0b2a32257ad43d1aeb8878c26b6916663d"),
         (small, 0.05, 8, 3, None,
          "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d",
          "c37421b6955eb865e31706a67bb6153aa2d48babeb879f79ae5e1e5c1b386c4d"),
@@ -183,12 +185,15 @@ _PIECE_CASES = {
 }
 
 
-def _two_stretch_rows(model, eps, seeds, short, long, dt):
-    """The sampler's time-0 rows, each stretch stepped by one advance call on one noise window."""
+def _stretch_rows(model, eps, seeds, short, long, joint, dt):
+    """The sampler's time-0 rows, each stretch stepped by one advance call on one noise
+    window: the burn-in and `joint` coarse steps of both horizons, then fine steps to 0."""
     m = ldpverify._burn_stride(model, dt)
     burn = -(-(long - short) // m)  # whole coarse steps, the start rounded down
+    tail = short - joint * m
     n = len(seeds)
-    stretches = [(n, -short - burn * m, burn, m), (2 * n, -short, short, 1)]
+    stretches = [(n, -short - burn * m, burn, m), (2 * n, -short, joint, m),
+                 (2 * n, -tail, tail, 1)]
     windows = [(first, steps, stride) for _, first, steps, stride in stretches]
     x = np.full((2 * n, model.dim), model.pullback_init)
     advance = em_stepper(model)
@@ -201,22 +206,53 @@ def _two_stretch_rows(model, eps, seeds, short, long, dt):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_PIECE_CASES)), coarse=st.booleans(),
-       short=st.integers(1, 700), burn=st.integers(1, 700), short_by=st.integers(0, 99),
+       tail=st.integers(1, 700), joint=st.just(0) | st.integers(0, 400),
+       tail_by=st.integers(0, 99), burn=st.integers(1, 700), short_by=st.integers(0, 99),
        n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_piece_cuts_never_change_bytes(name, coarse, short, burn, short_by, n, seed):
+def test_piece_cuts_never_change_bytes(name, coarse, tail, joint, tail_by, burn, short_by, n,
+                                       seed):
     # however the stretches fall into pieces and check intervals, the samples are
     # those of stepping each stretch whole: a burn-in of `burn` coarse steps, its
-    # fine length up to m - 1 steps short of a whole number of them, then the joint run
+    # fine length up to m - 1 steps short of a whole number of them, `joint` coarse
+    # steps of both horizons, then a fine tail of `tail` steps.  The drawn _FINE_TAIL
+    # is up to m - 1 fine steps shorter than the tail it rounds up to, or, with no
+    # joint coarse step, up to 99 steps longer than the shorter horizon that caps it.
+    # With m = 1 the joint run is all fine
     model, dts = _PIECE_CASES[name]
     dt = dts[coarse]
     m = ldpverify._burn_stride(model, dt)
     assert (m > 1) == (coarse and name != "hopf-radial")
+    short = tail + joint * m
     long = short + burn * m - short_by % m
+    fine = tail + tail_by if joint == 0 else max(1, tail - tail_by % m)
     seeds = derive_seeds_from(seed, 0, n)
     eps = model.default_eps
-    x = sample_stationary(model, eps, n, seed=seed, dt=dt,
-                          horizons=[short * dt, long * dt], tol=1e300)
-    assert np.array_equal(x, _two_stretch_rows(model, eps, seeds, short, long, dt)[0]), (m, dt)
+    # half a step below `fine` relaxation-time steps, which ceil reads as `fine` steps
+    with mock.patch.object(ldpverify, "_FINE_TAIL", (fine - 0.5) * model.relax_rate * dt):
+        x = sample_stationary(model, eps, n, seed=seed, dt=dt,
+                              horizons=[short * dt, long * dt], tol=1e300)
+    joint = joint if m > 1 else 0
+    assert np.array_equal(x, _stretch_rows(model, eps, seeds, short, long, joint, dt)[0]), (m, dt)
+
+
+def test_coarse_steps_barely_shift_the_samples(ou, lin_a1, lin_a2, monkeypatch):
+    # the coarse steps, the burn-in's and the joint run's, end where the fine tail of
+    # 7.5 relaxation times starts; what they get wrong reaches time 0 damped by about
+    # e^-7.5.  Default-horizon samples stay within 5e-3 standard deviations of those of
+    # stepping at dt throughout, and within 1e-3 on average
+    for model, eps, dt in ((lin_a1, 0.2, 0.005), (lin_a2, 0.2, 0.005), (ou, 0.1, 0.001)):
+        assert ldpverify._burn_stride(model, dt) > 1
+        x = sample_stationary(model, eps, 500, seed=5, dt=dt)
+        with monkeypatch.context() as m:
+            m.setattr(ldpverify, "_burn_stride", lambda model, dt: 1)
+            fine = sample_stationary(model, eps, 500, seed=5, dt=dt)
+        shift = np.abs(x - fine) / fine.std(axis=0)
+        assert shift.max() <= 5e-3 and shift.mean() <= 1e-3, (model.name, shift.max())
+    # a shorter horizon under the tail (20 time units, 6 relaxation times at m = 6) keeps
+    # the joint run fine: these bytes were pinned with the burn-in alone coarse
+    x = sample_stationary(lin_a2, 0.2, 64, seed=5, dt=0.005, horizons=[20.0, 40.0], tol=1.0)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "0c356a0a2c9a10d5cfe4f66d1b9caa1f52752210f23e5bec5c0ebc7cb20eb8f9")
 
 
 def test_zero_noise_samples_rest_state(ou):
@@ -361,7 +397,7 @@ def test_sampler_noise_memory_is_half_a_check_interval(lin_a1):
 def test_burn_in_step_is_inside_the_em_stability_region(all_models):
     # EM on x' = A x is stable for a step h with |1 + h mu| < 1 over A's spectrum, i.e.
     # h < 2 |Re mu| / |mu|^2; for the nonlinear models over f' on the working domain.
-    # The coarse burn-in step m dt stays inside it at each model's default dt and at
+    # The coarse step m dt stays inside it at each model's default dt and at
     # the dts the gate samples with (criteria 01, 02 and 05).  The nonlinear models
     # declare no ceiling, so they take m = 1
     limits = {"ou": 2.0, "linear2d-a1": 2.0 / 0.3, "linear2d-a2": 0.6 / (0.3**2 + 2.0**2),
@@ -435,7 +471,7 @@ def test_an_unstable_burn_in_step_is_a_divergence(ou, relax_rate, dt, horizons, 
 def test_sampler_covariance_is_the_em_chain_law(lin_a2, non_normal):
     # for linear drift A the EM chain x' = M x + sqrt(eps dt) Q c xi, M = I + dt A, has
     # the Gaussian law N(0, eps C_dt) with C_dt = M C_dt M^T + dt Q diag(c^2) Q^T.  The
-    # coarse burn-in leaves it unchanged up to its e^-10 damping.  Each second moment
+    # coarse steps leave it unchanged up to their e^-7.5 damping.  Each second moment
     # of the n samples lies within 4 standard errors sqrt((C_ii C_jj + C_ij^2) / n)
     # of it.  On linear2d-a2 at dt 0.01, C_dt is 7% above the continuous law, about 5
     # standard errors, which this check tells apart.
