@@ -280,8 +280,8 @@ def _load_config(path: str) -> dict:
         config = yaml.safe_load(fh)
     if not isinstance(config, dict):
         raise InputError(f"{path}: config must be a mapping")
-    if config.get("version") != 1:
-        raise InputError(f"{path}: expected 'version: 1', got {config.get('version')!r}")
+    if _as_int(config.get("version"), f"{path}: version") != 1:
+        raise InputError(f"{path}: expected 'version: 1', got {config['version']!r}")
     return config
 
 

@@ -198,7 +198,7 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
     As integrate._checked_path does, the longer horizon is checked for
     divergence after every CHECK_EVERY steps of a stretch and at its end; the
     error names the last fine step covered, counted from that horizon's start.
-    However the run ends, the piece in flight is unclaimed.
+    However the run ends, the piece in flight is withdrawn from the pool.
     """
     n = len(seeds)
     short, long = steps_list
@@ -235,7 +235,7 @@ def _pullback_rows(model: ModelSpec, eps: float, seeds, steps_list,
                                       f"t = {t:.6g}; smaller dt or eps needed",
                                       step=w1 - 1 - start, time=t)
     finally:
-        blocks.close()  # unclaims the piece in flight, if any
+        blocks.close()  # withdraws the piece in flight, if any
     return x.reshape(2, n, model.dim)
 
 

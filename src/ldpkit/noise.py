@@ -22,20 +22,22 @@ The counter map is unchanged (no stream-version bump), so a strided window
 shares no word with an unstrided one over other lattice steps.  The batched
 sampler steps its burn-in on such windows.
 
-Large blocks are filled in tiles of a few steps.  The tiles are claimed one
-at a time, by the calling thread and by a shared pool of one thread fewer
-than the CPUs this process may run on, so whichever thread is free takes the
-next.  gaussian_stream keeps one block ahead: the pool fills the next
-window's block while the caller uses this one, and the stream hands that
-block to gaussian_block, where the caller claims what is left.  Each word
-depends on its counter alone and each tile writes its own rows, so neither
-the claiming nor the stream can change a value.
+Large blocks are filled in tiles of a few steps.  Each tile is one task on a
+shared pool of one thread fewer than the CPUs this process may run on.  The
+caller withdraws the tiles no pool thread has begun, from the last one back,
+and fills them itself; then it waits only on the begun ones, filling the next
+block's queued tiles meanwhile.  gaussian_stream keeps one block ahead: the
+pool fills the next window's block while the caller uses this one, and the
+stream hands that block to gaussian_block, where the caller finishes it.
+Each word depends on its counter alone and each tile writes its own rows, so
+neither the thread that fills a tile nor the stream can change a value.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +57,7 @@ _U64_MAX = (1 << 64) - 1
 # words per tile (256 KiB, in cache): a tile takes the GIL about a dozen times, so a pool
 # thread filling large tiles seldom holds up a caller that steps between them
 _TILE_WORDS = 1 << 15
-# the CPUs this process may run on: the caller and _WORKERS - 1 pool threads claim tiles
+# the CPUs this process may run on: the caller and _WORKERS - 1 pool threads fill tiles
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = (None, None)  # (pid, ThreadPoolExecutor), made on first use
 _pool_lock = threading.Lock()
@@ -150,9 +152,8 @@ def _window(first_step, steps, modes, dt, stride=1) -> tuple:
 
 
 class _Block:
-    """One block in the making.  Its tiles of `rows` steps are claimed one at a time by
-    whichever thread asks next, the pool's or the caller's, and each is filled by the
-    thread that claimed it."""
+    """One block in the making.  Each tile of `rows` steps is one task on the pool; the
+    caller withdraws the tiles no pool thread has begun and fills them itself."""
 
     def __init__(self, states, first_step: int, steps: int, modes: int, dt: float,
                  stride: int = 1):
@@ -166,21 +167,15 @@ class _Block:
         self.scale = np.sqrt(stride * dt)
         self.rows = max(1, _TILE_WORDS // max(1, self.base.size))
         self.tiles = -(-steps // self.rows)
-        self.claimed = 0  # tiles handed out, in order
-        self.busy = 0  # tiles handed out and not yet written
-        self.error = None
-        self.idle = threading.Condition()
+        self.tasks = []  # one future per tile, or none: the caller fills every tile
+        self.unasked = self.tiles  # tiles [0, unasked) the caller has not tried to withdraw
         self.then = None  # the block after this one in its stream, if any
 
     def start(self) -> "_Block":
-        """Let up to _WORKERS - 1 pool threads claim tiles; a one-tile block makes no pool.
-
-        Their futures are not read: a helper may still be queued behind other blocks
-        when this one is done, and a failed tile reaches the caller through `error`."""
-        helpers = min(_WORKERS, self.tiles) - 1
-        pool = _executor() if helpers > 0 else None
-        for _ in range(helpers):
-            pool.submit(self.fill)
+        """Put each tile on the pool as one task; a one-tile block makes no pool."""
+        if min(_WORKERS, self.tiles) > 1:
+            pool = _executor()
+            self.tasks = [pool.submit(self._fill_tile, tile) for tile in range(self.tiles)]
         return self
 
     def _fill_tile(self, tile: int) -> None:
@@ -193,49 +188,37 @@ class _Block:
         ndtri(u, out=u)
         u *= self.scale
 
-    def fill_one(self) -> bool:
-        """Claim and fill the next tile; False if none is left unclaimed."""
-        with self.idle:
-            if self.claimed == self.tiles:
-                return False
-            tile = self.claimed
-            self.claimed += 1
-            self.busy += 1
-        try:
-            self._fill_tile(tile)
-        except BaseException as err:
-            self.error = err  # raised by result, so no tile is left unwritten unseen
-            raise
-        finally:
-            with self.idle:
-                self.busy -= 1
-                if not self.busy:
-                    self.idle.notify_all()
-        return True
-
-    def fill(self) -> None:
-        """Claim and fill tiles until none is left unclaimed."""
-        while self.fill_one():
-            pass
+    def fill_last(self) -> bool:
+        """Withdraw the last tile no pool thread has begun and fill it here; False if
+        there is none."""
+        while self.unasked:
+            self.unasked -= 1
+            if not self.tasks or self.tasks[self.unasked].cancel():
+                self._fill_tile(self.unasked)
+                return True
+        return False
 
     def settle(self) -> None:
-        """Unclaim every tile nobody has claimed and wait for the claimed ones: no
-        thread is left working on the block, and no caller waits on an unclaimed tile."""
-        with self.idle:
-            self.claimed = self.tiles
-            self.idle.wait_for(lambda: not self.busy)
+        """Withdraw every tile no pool thread has begun and wait for the begun ones: no
+        thread is left working on the block.  (wait would count a withdrawn tile as
+        pending until a pool thread dequeued it.)"""
+        wait([task for task in self.tasks if not task.cancel()])
 
     def result(self) -> np.ndarray:
-        """The block, as (seeds, steps, modes): this thread fills the unclaimed tiles."""
+        """The block, as (seeds, steps, modes): this thread fills the tiles no pool thread
+        has begun, and the first error of a pool thread's tile is raised here."""
         try:
-            self.fill()
+            while self.fill_last():
+                pass
+            begun = [task for task in self.tasks if not task.cancelled()]
             # while the pool writes this block's last tiles, fill the next block's
-            while self.busy and self.then is not None and self.then.fill_one():
+            while (self.then is not None and not all(task.done() for task in begun)
+                   and self.then.fill_last()):
                 pass
         finally:
             self.settle()
-        if self.error is not None:
-            raise self.error
+        for task in begun:
+            task.result()
         _, steps, modes, _, _ = self.key
         return self.out.reshape(steps, len(self.states), modes).transpose(1, 0, 2)
 
@@ -247,8 +230,8 @@ def gaussian_block(seeds, first_step: int, steps: int, modes: int, dt: float, *,
     Returns shape (len(seeds), steps, modes); each seed indexes an
     independent stream, each (step, mode) cell a fixed counter word.  It is
     the step-major (1, 0, 2) transpose of a C-contiguous (steps, seeds, modes) array.
-    _started is the block of these words gaussian_stream started for this call,
-    which the pool has been filling; it is finished here rather than started anew
+    _started is the block of these words gaussian_stream started for this call, whose
+    tiles have been queued on the pool; it is finished here rather than started anew
     (a strided window's block, too).
     """
     if _started is None:
@@ -261,14 +244,14 @@ def gaussian_stream(seeds, windows, modes: int, dt: float):
     stride), in turn, the pool filling the next window's block while the caller uses
     this one.
 
-    A generator that keeps one block in flight: when the caller asks for a block,
-    the next one is started, then the asked one is handed to gaussian_block, whose
-    unclaimed tiles the caller fills; while the pool writes its last tiles, the
-    caller fills the next block's.  So two blocks are alive at a time, if the
-    caller drops each before asking for the next.  However the generator ends,
-    closed (in a try/finally) or run out, the block in flight is unclaimed, so an
-    abandoned stream leaves no work behind and nobody waits on a tile no thread has
-    claimed.
+    A generator that keeps one block in flight: when the caller asks for a block, the
+    next one's tiles are queued on the pool, then the asked one is handed to
+    gaussian_block, where the caller withdraws and fills the tiles no pool thread has
+    begun; while the pool writes the begun ones, the caller fills the next block's
+    queued tiles.  So two blocks are alive at a time, if the caller drops each before
+    asking for the next.  However the generator ends, closed (in a try/finally) or run
+    out, the block in flight is withdrawn and its begun tiles waited for, so an
+    abandoned stream leaves no work behind.
     """
     keys = [_window(first_step, steps, modes, dt, *stride)
             for first_step, steps, *stride in windows]

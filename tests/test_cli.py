@@ -141,12 +141,15 @@ def test_nested_unknown_keys_rejected(tmp_path, capsys):
 
 
 def test_version_required(tmp_path, capsys):
-    bad = dict(SIM)
-    bad["version"] = 2
-    cfg = write_config(tmp_path, "bad.yaml", bad)
-    code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path))
-    assert code == 2
-    assert "version" in stderr_json(err)["message"]
+    # version is an integer key like any other: a boolean, float or string 1 is refused
+    for version in (2, True, 1.0, "1", None):
+        bad = {**SIM, "version": version}
+        if version is None:
+            del bad["version"]
+        cfg = write_config(tmp_path, "bad.yaml", bad)
+        code, _, err = run(capsys, "simulate", "--config", cfg, "--out", str(tmp_path))
+        assert code == 2, version
+        assert "version" in stderr_json(err)["message"]
 
 
 def test_missing_config_file(tmp_path, capsys):

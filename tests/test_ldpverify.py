@@ -333,7 +333,7 @@ def test_sampling_divergence_after_many_check_intervals(ou):
 
 @pytest.mark.parametrize("stop", [DivergenceError, KeyboardInterrupt])
 def test_an_abandoned_run_leaves_no_noise_work(ou, monkeypatch, slow_tiles, stop):
-    # when a run leaves the sampler early, the piece in flight is unclaimed first:
+    # when a run leaves the sampler early, the piece in flight is withdrawn first:
     # no tile is filled after the error, a task on the noise pool runs at once, and
     # the next gaussian_block call gives its golden bytes
     kw = dict(dt=2.02, horizons=[1200 * 2.02, 3000 * 2.02])  # diverges some pieces in

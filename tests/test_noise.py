@@ -146,9 +146,8 @@ def test_gaussian_block_frozen_values():
 
 
 def test_gaussian_block_split_goldens():
-    # blocks of many tiles, which the caller and the pool's threads claim one at
-    # a time: 9 tiles of 5 steps (the last of 1), and 5 tiles of 1 step (18000
-    # words per step)
+    # blocks of many tiles, which the caller and the pool's threads fill: 9 tiles
+    # of 5 steps (the last of 1), and 5 tiles of 1 step (18000 words per step)
     block = gaussian_block(derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)
     assert sha256(block) == "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"
     block = gaussian_block(derive_seeds_from(4, 0, 9000), -3, 5, 2, 0.01)
@@ -336,6 +335,66 @@ def test_a_failed_tile_is_raised_by_the_caller(monkeypatch):
         except MemoryError:
             failed += 1
     assert failed
+
+
+@pytest.mark.parametrize("side", ["pool", "caller"])
+def test_a_failed_tile_leaves_no_tile_of_its_block(slow_tiles, monkeypatch, side):
+    # a tile that fails on either side is raised by the call, and no tile of that block
+    # is left queued or running: a task put on the pool afterwards runs at once
+    caller = threading.get_ident()
+    slow = noise.ndtri
+    blocks = []
+    start = noise._Block.start
+
+    def fails(u, out):
+        if (threading.get_ident() == caller) == (side == "caller"):
+            raise MemoryError("tile")
+        return slow(u, out=out)
+
+    monkeypatch.setattr(noise, "ndtri", fails)
+    monkeypatch.setattr(noise._Block, "start", lambda block: start(blocks.append(block) or block))
+    seeds = derive_seeds_from(3, 0, 2000)
+    failed = False
+    for _ in range(20):  # the pool thread begins a tile unless the caller takes all 9 first
+        try:
+            gaussian_block(seeds, -700, 41, 3, 0.01)
+        except MemoryError:
+            failed = True
+            break
+    assert failed
+    assert len(blocks[-1].tasks) == 9 and all(task.done() for task in blocks[-1].tasks)
+    filled = slow_tiles.filled
+    assert slow_tiles.pool_idles_at_once()
+    assert slow_tiles.filled == filled
+
+
+def test_a_busy_pool_cannot_hold_up_the_caller(slow_tiles, monkeypatch):
+    # the pool's only thread runs another task until an event is set: the caller
+    # withdraws every queued tile and fills it, so no block and no stream waits for it,
+    # and a call whose tile fails withdraws the rest rather than wait for the pool
+    release = threading.Event()
+    held = slow_tiles.pool.submit(release.wait, 30)
+
+    def fails(u, out):
+        slow_tiles.filled += 1
+        raise MemoryError("tile")
+
+    try:
+        seeds = derive_seeds_from(3, 0, 2000)
+        block = gaussian_block(seeds, -700, 41, 3, 0.01)
+        pieces = [p.tobytes() for p in
+                  noise.gaussian_stream(seeds, [(-700, 20), (-680, 21)], 3, 0.01)]
+        monkeypatch.setattr(noise, "ndtri", fails)
+        with pytest.raises(MemoryError):
+            gaussian_block(seeds, -700, 41, 3, 0.01)
+        assert not held.done()
+    finally:
+        release.set()
+    assert sha256(block) == "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d"
+    assert pieces == [block[:, :20].tobytes(), block[:, 20:].tobytes()]
+    filled = slow_tiles.filled
+    assert slow_tiles.pool_idles_at_once()
+    assert slow_tiles.filled == filled
 
 
 @pytest.mark.parametrize("first, steps, modes, dt", [
