@@ -300,6 +300,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "models":
+            for flag, value in (("--config", args.config), ("--seed", args.seed)):
+                if value is not None:
+                    raise InputError(f"{flag}: command 'models' takes no {flag[2:]}")
             return _run_models()
         if args.config is None:
             raise InputError(f"command '{args.command}' requires --config")

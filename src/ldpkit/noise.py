@@ -31,18 +31,20 @@ pool fills the next window's block while the caller uses this one, and the
 stream hands that block to gaussian_block, where the caller finishes it.
 Each word depends on its counter alone and each tile writes its own rows, so
 neither the thread that fills a tile nor the stream can change a value.
+
+The transform is scipy.special.ndtri, imported by the first block drawn rather
+than with the module (about 0.23 s and 26 MiB in a fresh process; see ndtri), so
+a process that draws no noise never loads it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InputError
 from .grids import TimeGrid, _as_int, _as_table, check_positive, step_offset, whole_steps
@@ -124,6 +126,20 @@ def _zigzag(steps: np.ndarray) -> np.ndarray:
     return np.where(steps >= 0, 2 * steps, -2 * steps - 1).astype(np.uint64)
 
 
+def ndtri(u, out=None):
+    """scipy.special.ndtri, the stream's inverse normal CDF, with scipy.special
+    imported at the first call rather than with ldpkit.
+
+    In a fresh process with numpy loaded, that import takes about 0.23 s and 26 MiB of
+    resident memory (scipy 1.17), so a process that draws no noise does not pay it.
+    _Block.start makes it on the calling thread before it queues a tile, so no pool
+    thread does.  Each tile looks this name up as it runs.
+    """
+    import scipy.special
+
+    return scipy.special.ndtri(u, out=out)
+
+
 def _executor():
     """The shared tile pool; a forked child makes its own, as the parent's threads are gone."""
     global _pool
@@ -174,6 +190,7 @@ class _Block:
     def start(self) -> "_Block":
         """Put each tile on the pool as one task; a one-tile block makes no pool."""
         if min(_WORKERS, self.tiles) > 1:
+            import scipy.special  # noqa: F401  ndtri's first import, not on a pool thread
             pool = _executor()
             self.tasks = [pool.submit(self._fill_tile, tile) for tile in range(self.tiles)]
         return self
@@ -182,7 +199,8 @@ class _Block:
         rows = slice(tile * self.rows, (tile + 1) * self.rows)
         x = self.step_part[rows] + self.base
         _mix64(x, self.out[rows].view(np.uint64))  # the tile's rows are its scratch
-        # 53-bit uniform strictly inside (0, 1); ndtri stays finite.
+        # 53-bit uniform (k + 0.5) 2**-53, inside (0, 1) but for the top word k = 2**53 - 1,
+        # which rounds to 1.0, where ndtri is inf
         u = np.add(np.right_shift(x, np.uint64(11), out=x), 0.5, out=self.out[rows])
         u *= 2.0**-53
         ndtri(u, out=u)
@@ -200,9 +218,10 @@ class _Block:
 
     def settle(self) -> None:
         """Withdraw every tile no pool thread has begun and wait for the begun ones: no
-        thread is left working on the block.  (wait would count a withdrawn tile as
-        pending until a pool thread dequeued it.)"""
-        wait([task for task in self.tasks if not task.cancel()])
+        thread is left working on the block.  (Waiting first would count a withdrawn
+        tile as pending until a pool thread dequeued it.)"""
+        for task in [task for task in self.tasks if not task.cancel()]:
+            task.exception()  # waits; result() raises the tile's error
 
     def result(self) -> np.ndarray:
         """The block, as (seeds, steps, modes): this thread fills the tiles no pool thread

@@ -1,5 +1,9 @@
 """Shared fixtures: model instances are immutable, so build each once per session."""
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +132,20 @@ def slow_tiles(monkeypatch):
     tiles = _SlowTiles(monkeypatch)
     yield tiles
     tiles.pool.shutdown()
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """run(code, cwd=None): the last line `code` prints when a fresh interpreter of this
+    Python runs it with ldpkit's source directory first on its path."""
+    src = str(Path(noise.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code: str, cwd=None) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    return run

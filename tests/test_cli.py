@@ -159,6 +159,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert stderr_json(err)["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("flag, value", [("--config", "models.yaml"), ("--seed", "0")])
+def test_models_refuses_config_and_seed(capsys, flag, value):
+    code, out, err = run(capsys, "models", flag, value)
+    assert code == 2
+    assert out == ""
+    assert stderr_json(err) == {"error": "InputError",
+                                "message": f"{flag}: command 'models' takes no {flag[2:]}"}
+
+
 def test_config_flag_required(capsys):
     code, _, err = run(capsys, "simulate")
     assert code == 2

@@ -154,6 +154,48 @@ def test_gaussian_block_split_goldens():
     assert sha256(block) == "cfb60f2e3216287a8d4db0dae96d87bbc0e6df9767d8900d1992dbcc81d3c890"
 
 
+def test_ndtri_is_scipys_bit_for_bit():
+    # the stream's transform, through noise's own name for it, on one tile of the
+    # stream's uniforms: those of the smallest and largest words (the largest rounds
+    # to 1.0), the median, and both sides of ndtri's branch points exp(-2), 1 - exp(-2)
+    from scipy.special import ndtri
+
+    x = noise._mix64(np.arange(noise._TILE_WORDS, dtype=np.uint64) * noise._GOLDEN)
+    u = (np.right_shift(x, np.uint64(11)) + 0.5) * 2.0**-53
+    branch = np.exp(-2.0)
+    edges = [0.5 * 2.0**-53, 1 - 0.5 * 2.0**-53, 0.5]
+    for b in (branch, 1 - branch):
+        edges += [np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)]
+    u[:len(edges)] = edges
+    want = ndtri(u)
+    assert noise.ndtri(u, out=u) is u
+    assert u.tobytes() == want.tobytes()
+
+
+def test_first_draw_of_a_fresh_process_is_the_golden_block(fresh_python):
+    # scipy.special is first imported by the first block that queues tiles, on the
+    # calling thread, and the words are the same as in a process that had it loaded
+    code = """
+import hashlib, sys, threading
+
+class Watch:  # notes the thread that looks scipy.special up first; finds nothing
+    threads = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special":
+            self.threads.append(threading.get_ident())
+
+sys.meta_path.insert(0, Watch())
+from ldpkit import noise
+assert "scipy.special" not in sys.modules
+noise._WORKERS = 2
+block = noise.gaussian_block(noise.derive_seeds_from(3, 0, 2000), -700, 41, 3, 0.01)
+print(hashlib.sha256(block.tobytes()).hexdigest(), Watch.threads == [threading.get_ident()])
+"""
+    assert fresh_python(code).split() == [
+        "923de5e01147e8614042930952da61d6775608d17b0186560b6a0ffc7b605c0d", "True"]
+
+
 @pytest.mark.parametrize("seeds, first, steps, modes", [
     (derive_seeds_from(3, 0, 2000), -700, 41, 3),  # 9 tiles, the last one short
     (derive_seeds_from(4, 0, 9000), -3, 5, 2),     # 5 tiles of one step
