@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonInvertibleDiffusionError
-from .grids import TimeGrid, _as_table
+from .grids import TimeGrid, _as_table, record_dict
 from .integrate import Path, _load_table, _save_table
 from .models import ModelSpec, drift, h_norm_sq
 
@@ -62,16 +62,11 @@ class ActionReport:
     """Action value with its per-step decomposition and inversion defect."""
 
     value: float
-    per_step: np.ndarray
     defect: float
+    per_step: np.ndarray
     control: Control
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "defect": self.defect,
-            "per_step": [float(x) for x in self.per_step],
-        }
+    to_dict = record_dict
 
 
 def _check_path(model: ModelSpec, path: Path) -> None:
@@ -117,7 +112,7 @@ def action(model: ModelSpec, path: Path) -> ActionReport:
     per_step = 0.5 * dt * np.sum(coeffs**2, axis=1)
     value = float(np.sum(per_step))
     defect = float(np.sqrt(dt * np.sum(defects**2)))
-    return ActionReport(value=value, per_step=per_step, defect=defect,
+    return ActionReport(value=value, defect=defect, per_step=per_step,
                         control=Control(path.grid, coeffs))
 
 

@@ -1,4 +1,5 @@
-"""Uniform time grids, and the rules every input value is checked by.
+"""Uniform time grids, the rules every input value is checked by, and the one rule
+every result record is written out by.
 
 Every trajectory, noise record and control in the toolkit lives on a
 uniform grid [t_start, t_end] with `steps` increments.  States are sampled
@@ -7,14 +8,16 @@ steps left endpoints.
 
 The command line, the model catalogue and the library functions decide
 what an integer, a finite real, a positive real, a real vector and a
-per-step table are by the functions here, and by no other code.
+per-step table are by the functions here, and by no other code.  Every
+result record (PullbackDiag, QPResult, ActionReport, SlopeFit,
+HypothesisReport) takes record_dict as its to_dict.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -81,6 +84,22 @@ def _as_table(values, steps: int, context: str) -> np.ndarray:
     return table
 
 
+def _plain(value):
+    """value with numpy arrays and scalars, also inside lists, as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def record_dict(record) -> dict:
+    """A result record's fields in declaration order, as JSON values (_plain).  A nested
+    record, such as a Path or a Control, is left out: it is written as its own CSV."""
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)
+            if not is_dataclass(getattr(record, f.name))}
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [t_start, t_end] with `steps` equal increments."""
@@ -114,9 +133,12 @@ class TimeGrid:
         return self.t_start + self.dt * (np.arange(self.steps) + 0.5)
 
     def tail(self, steps: int) -> "TimeGrid":
-        """The grid's last `steps` steps, a sub-grid on its lattice ending at t_end."""
-        if steps == self.steps:
+        """The grid's last `steps` steps, a sub-grid on its lattice ending at t_end;
+        InputError unless 1 <= steps <= self.steps."""
+        if _as_int(steps, "tail step count") == self.steps:
             return self
+        if steps > self.steps:
+            raise InputError(f"a tail of {steps} steps does not fit in {self}")
         return TimeGrid(self.t_end - steps * self.dt, self.t_end, steps)
 
     def index_of(self, t: float) -> int:

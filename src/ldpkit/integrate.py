@@ -101,7 +101,7 @@ def load_path(filename) -> Path:
 
 
 def write_json(record: dict, filename) -> None:
-    """A result record, such as a report's to_dict(), as indented JSON."""
+    """A JSON dict, such as a record's to_dict() (grids.record_dict), as indented JSON."""
     with open(filename, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, InsufficientDataError, NonConvergenceError
-from .grids import _as_int, _as_real, _as_reals, _is_number, check_positive, ladder_steps
+from .grids import (_as_int, _as_real, _as_reals, _is_number, check_positive, ladder_steps,
+                    record_dict)
 from .integrate import CHECK_EVERY, check_dt, check_eps, em_stepper, mode_drive, worst_blowup
 from .models import ModelSpec, h_norm
 from .noise import derive_seed, derive_seeds_from, gaussian_stream
@@ -345,16 +346,7 @@ class SlopeFit:
     residuals: list
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "richardson": self.richardson,
-            "reference": self.reference,
-            "distance": self.distance,
-            "residuals": [float(r) for r in self.residuals],
-            "n_points": self.n_points,
-        }
+    to_dict = record_dict
 
 
 def line_fit(x, y, w=None) -> tuple[float, float]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .action import action, control_jacobian, value_and_gradient
 from .errors import ConfigurationError, InputError, OptimizationStalledError
-from .grids import TimeGrid, _as_int, check_horizons, check_positive
+from .grids import TimeGrid, _as_int, check_horizons, check_positive, record_dict
 from .integrate import Path, check_state, integrate_skeleton
 from .models import ModelSpec
 
@@ -54,17 +54,7 @@ class QPResult:
     defect: float
     path: Path
 
-    def to_dict(self) -> dict:
-        return {
-            "target": [float(x) for x in np.atleast_1d(self.target)],
-            "horizons": [float(t) for t in self.horizons],
-            "values": [float(v) for v in self.values],
-            "iterations": [int(n) for n in self.iterations],
-            "converged_value": float(self.converged_value),
-            "converged": self.converged,
-            "warning": self.warning,
-            "defect": float(self.defect),
-        }
+    to_dict = record_dict
 
 
 def _initial_states(model: ModelSpec, target: np.ndarray, grid: TimeGrid,

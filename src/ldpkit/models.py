@@ -29,13 +29,13 @@ occupies the last axis.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InputError
-from .grids import _as_int, _as_real
+from .grids import _as_int, _as_real, record_dict
 
 
 @dataclass(frozen=True)
@@ -517,8 +517,7 @@ class HypothesisReport:
     bound_margin: float         # |B(u)| - d0
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = record_dict
 
 
 def check_hypothesis(model: ModelSpec, n_samples: int = 200, seed: int = 0,

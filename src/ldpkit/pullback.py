@@ -38,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError, InputError, NonConvergenceError
-from .grids import TimeGrid, _as_real, check_positive, ladder_steps, step_offset, whole_steps
+from .grids import (TimeGrid, _as_real, check_positive, ladder_steps, record_dict, step_offset,
+                    whole_steps)
 from .integrate import CHECK_EVERY, Path, check_eps, em_step_sde, integrate_skeleton
 from .ldpverify import line_fit
 from .models import ModelSpec, h_norm
@@ -54,13 +55,7 @@ class PullbackDiag:
     fitted_rate: Optional[float]
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "horizons": [float(n) for n in self.horizons],
-            "gaps": [float(g) for g in self.gaps],
-            "fitted_rate": self.fitted_rate,
-            "converged": self.converged,
-        }
+    to_dict = record_dict
 
 
 def default_horizons(model: ModelSpec, view: TimeGrid) -> list[float]:

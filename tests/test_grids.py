@@ -1,14 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ldpkit import (Control, Event, InputError, Path, TimeGrid, estimate_event, from_dt,
-                    gaussian_block, ldp_slope, make_estimate, minimize_action,
-                    quasipotential, sample_stationary)
+from ldpkit import (Control, Event, InputError, Path, QPResult, TimeGrid, action,
+                    estimate_event, from_dt, gaussian_block, integrate_skeleton, ldp_slope,
+                    make_estimate, minimize_action, quasipotential, sample_noise,
+                    sample_stationary)
 from ldpkit.grids import (_as_real, _as_reals, check_horizons, check_positive, ladder_steps,
-                          same_spacing, step_offset, whole_steps)
+                          record_dict, same_spacing, step_offset, whole_steps)
 from ldpkit.pullback import pullback_stationary, stationarity_check
 
 
@@ -177,3 +179,85 @@ def test_library_arguments_refuse_non_numbers(ou, argument, value):
     with pytest.raises(InputError) as err:
         _NUMBER_ARGUMENTS[argument](ou, value)
     assert err.value.exit_code == 2
+
+
+def test_tail_stays_inside_the_grid():
+    g = TimeGrid(0.0, 1.0, 10)
+    assert g.tail(10) is g
+    assert g.tail(4) == TimeGrid(1.0 - 4 * g.dt, 1.0, 4)
+    for n in (11, 15, 0, -1, 2.0):
+        with pytest.raises(InputError):
+            g.tail(n)
+
+
+# ---------------------------------------------------------------------------
+# lattice alignment: a window k whole steps off a grid means the same steps to every
+# entry point that takes a grid or a control
+
+_DTS = st.sampled_from([0.1, 0.02, 0.01, 0.005, 0.001])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dt=_DTS, start=st.integers(-200, 200), steps=st.integers(1, 40),
+       shift=st.integers(-60, 60), length=st.integers(1, 40))
+def test_an_offset_control_is_its_zero_extended_table(lin_a2, dt, start, steps, shift,
+                                                      length):
+    # the control's window starts `shift` steps into the trajectory's (before it for a
+    # negative shift) and may overlap it partly or not at all
+    grid = TimeGrid(start * dt, (start + steps) * dt, steps)
+    cgrid = TimeGrid((start + shift) * dt, (start + shift + length) * dt, length)
+    coeffs = np.random.default_rng(steps + 41 * length).normal(size=(length, lin_a2.modes))
+    table = np.zeros((steps, lin_a2.modes))
+    lo, hi = max(0, shift), min(steps, shift + length)
+    if lo < hi:
+        table[lo:hi] = coeffs[lo - shift : hi - shift]
+    x0 = np.array([0.3, -0.2])
+    assert np.array_equal(integrate_skeleton(lin_a2, x0, grid, Control(cgrid, coeffs)).states,
+                          integrate_skeleton(lin_a2, x0, grid, table).states)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dt=_DTS, start=st.integers(-200, 200), steps=st.integers(1, 60), data=st.data())
+def test_restrict_tail_and_index_of_agree(dt, start, steps, data):
+    grid = TimeGrid(start * dt, (start + steps) * dt, steps)
+    path = Path(grid, np.random.default_rng(steps).normal(size=(steps + 1, 2)))
+    i = data.draw(st.integers(0, steps - 1))
+    j = data.draw(st.integers(i + 1, steps))
+    times = grid.times()
+    window = from_dt(times[i], times[j], dt)
+    assert (grid.index_of(window.t_start), grid.index_of(window.t_end)) == (i, j)
+    assert np.array_equal(path.restrict(window).states, path.states[i : j + 1])
+    tail = grid.tail(steps - i)
+    assert tail.t_end == grid.t_end and grid.index_of(tail.t_start) == i
+    assert np.array_equal(path.restrict(tail).states, path.states[i:])
+
+
+@pytest.mark.xfail(strict=True, reason="from_dt recomputes a sub-window's dt from its "
+                   "endpoints, here 0.010000000000000009, and sample_noise scales its "
+                   "words by sqrt(dt); ROADMAP item 14")
+def test_a_from_dt_window_samples_the_lattice_increments():
+    full = sample_noise(TimeGrid(-2.0, 2.0, 400), 2, seed=7)
+    window = from_dt(-1.74, -1.67, 0.01)
+    assert np.array_equal(sample_noise(window, 2, seed=7).increments,
+                          full.restrict(window).increments)
+
+
+def test_one_rule_writes_every_result_record(ou):
+    # numpy arrays and scalars, also inside lists, become Python lists and numbers;
+    # the nested Path is left out, as the CLI writes it as its own CSV
+    path = Path(TimeGrid(-1.0, 0.0, 4), np.zeros((5, 1)))
+    result = QPResult(target=np.array([0.5]), horizons=[np.float64(1.0), 2.0],
+                      values=[np.float64(0.25)], iterations=[np.int64(3)],
+                      converged_value=np.float64(0.25), converged=True, warning=None,
+                      defect=np.float32(0.5), path=path)
+    record = result.to_dict()
+    assert record == record_dict(result) == {
+        "target": [0.5], "horizons": [1.0, 2.0], "values": [0.25], "iterations": [3],
+        "converged_value": 0.25, "converged": True, "warning": None, "defect": 0.5}
+    assert list(record) == [f.name for f in dataclasses.fields(QPResult)][:-1]
+
+    def plain(v):
+        return (all(plain(x) for x in v) if type(v) is list
+                else type(v) in (float, int, bool, type(None), str))
+    assert all(plain(v) for v in record.values()), record
+    assert list(action(ou, path).to_dict()) == ["value", "defect", "per_step"]
